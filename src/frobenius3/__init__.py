@@ -14,7 +14,7 @@ from .errors import (
     StepBudgetExceeded,
     TripleGenerationError,
 )
-from .modarith import Congruence, ExtGcdResult, canonical_residue, crt_combine, ext_gcd, mod_inverse
+from .modarith import Congruence, crt_combine, mod_inverse
 from .oracle import oracle_frobenius, oracle_least_multiple, oracle_representable
 from .solver import (
     FrobeniusResult,
@@ -30,19 +30,17 @@ from .walk import (
     WalkInput,
     WalkTrace,
     find_least_multiple,
-    init_walk,
     pair_representable,
-    walk_step,
 )
 
 __all__ = [
     "Frobenius3Error", "InvalidInputError", "InvariantViolation", "NotInvertibleError",
     "NotPairwiseCoprimeError", "OracleBoundExceeded", "StepBudgetExceeded",
     "TripleGenerationError",
-    "Congruence", "ExtGcdResult", "canonical_residue", "crt_combine", "ext_gcd", "mod_inverse",
+    "Congruence", "crt_combine", "mod_inverse",
     "oracle_frobenius", "oracle_least_multiple", "oracle_representable",
     "FrobeniusResult", "ValidatedTriple", "frobenius", "frobenius_positive",
     "pair_frobenius", "result_to_json", "validate_triple",
     "MultipleCertificate", "WalkInput", "WalkTrace", "find_least_multiple",
-    "init_walk", "pair_representable", "walk_step",
+    "pair_representable",
 ]

@@ -122,7 +122,7 @@ def run_sample(config: BenchConfig, index: int) -> BenchRecord:
     return BenchRecord(
         sample_index=index,
         digits=config.digits,
-        steps=tuple(len(tr.steps) for tr in traces),
+        steps=tuple(tr.n_steps for tr in traces),
         walk_ms=(t_walk - t_start) * 1e3,
         crt_ms=(t_end - t_walk) * 1e3,
         total_ms=(t_end - t_start) * 1e3,

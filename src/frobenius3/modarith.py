@@ -1,4 +1,4 @@
-"""Arbitrary-precision modular arithmetic: extended gcd, inverses, CRT.
+"""Arbitrary-precision modular arithmetic: inverses and CRT.
 
 All functions are pure and operate on Python ints, so thousand-digit
 inputs work unchanged.
@@ -8,15 +8,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, NotInvertibleError, NotPairwiseCoprimeError
-
-
-@dataclass(frozen=True)
-class ExtGcdResult:
-    """gcd plus Bezout coefficients: s*x + t*y == g."""
-
-    g: int
-    s: int
-    t: int
 
 
 @dataclass(frozen=True)
@@ -32,38 +23,14 @@ class Congruence:
         object.__setattr__(self, "residue", self.residue % self.modulus)
 
 
-def ext_gcd(x: int, y: int) -> ExtGcdResult:
-    """Extended Euclidean algorithm for nonnegative x, y, not both zero."""
-    if x < 0 or y < 0:
-        raise InvalidInputError("ext_gcd expects nonnegative inputs")
-    if x == 0 and y == 0:
-        raise InvalidInputError("ext_gcd(0, 0) is undefined")
-    r0, r1 = x, y
-    s0, s1 = 1, 0
-    t0, t1 = 0, 1
-    while r1 != 0:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return ExtGcdResult(r0, s0, t0)
-
-
-def canonical_residue(x: int, m: int) -> int:
-    """x mod m with the result always in [0, m), including for negative x."""
-    if m < 2:
-        raise InvalidInputError(f"modulus must be >= 2, got {m}")
-    return x % m
-
-
 def mod_inverse(x: int, m: int) -> int:
     """Inverse of x modulo m, in [1, m-1]. Raises NotInvertibleError if gcd != 1."""
     if m < 2:
         raise InvalidInputError(f"modulus must be >= 2, got {m}")
-    r = ext_gcd(x % m, m)
-    if r.g != 1:
-        raise NotInvertibleError(x, m, r.g)
-    return r.s % m
+    try:
+        return pow(x, -1, m)
+    except ValueError:
+        raise NotInvertibleError(x, m, math.gcd(x, m)) from None
 
 
 def crt_combine(congruences: list[Congruence] | tuple[Congruence, ...]) -> tuple[int, int]:

@@ -8,8 +8,6 @@ validated against an independent reference in tests and `frob3 verify`.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidInputError, InvariantViolation, OracleBoundExceeded
 from .walk import MultipleCertificate
 
@@ -26,7 +24,7 @@ class RepresentabilitySieve:
 
     generators: tuple[int, ...]
     bound: int
-    table: np.ndarray
+    table: bytearray
 
 
 def build_sieve(generators, bound: int) -> RepresentabilitySieve:
@@ -35,14 +33,16 @@ def build_sieve(generators, bound: int) -> RepresentabilitySieve:
     for g in gens:
         if g < 2:
             raise InvalidInputError(f"generators must be >= 2, got {g}")
-    table = np.zeros(bound + 1, dtype=np.uint8)
+    table = bytearray(bound + 1)
     table[0] = 1
     # one pass per generator: within each residue class mod g, once a
     # reachable entry appears every later entry is reachable too
     for g in gens:
         for r in range(min(g, bound + 1)):
-            view = table[r::g]
-            np.maximum.accumulate(view, out=view)
+            i = table[r::g].find(1)
+            if i >= 0:
+                start = r + i * g
+                table[start::g] = b"\x01" * ((bound - start) // g + 1)
     return RepresentabilitySieve(gens, bound, table)
 
 
@@ -70,10 +70,9 @@ def oracle_frobenius(generators, convention: str = NONNEG) -> int:
     total = sum(gens)
     bound = min_pair_product + total
     sieve = build_sieve(gens, bound)
-    gaps = np.flatnonzero(sieve.table == 0)
-    if gaps.size == 0:
+    g = sieve.table.rfind(0)
+    if g < 0:
         raise InvariantViolation("sieve found no gaps; bound logic broken")
-    g = int(gaps[-1])
     if convention == NONNEG:
         return g
     if convention == POSITIVE:

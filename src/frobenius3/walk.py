@@ -3,15 +3,14 @@
 Given pairwise-coprime (a, b, c), find the least multiplier m such that
 m*b = u*a + w*c with u, w >= 1.  The iteration is Euclid-like: it develops
 sequences k_i, p_i, v_i starting from the unique p0 with p0*a = b (mod c)
-and stops at the first index where p_i*a <= v_i*b.  Every answer carries
+and stops at the first index where p_i*a < v_i*b.  Every answer carries
 a certificate whose identity is checked by exact arithmetic.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidInputError, InvariantViolation, NotPairwiseCoprimeError, StepBudgetExceeded
-from .modarith import canonical_residue, mod_inverse
 
 
 @dataclass(frozen=True)
@@ -41,22 +40,20 @@ class WalkStep:
 
 @dataclass(frozen=True)
 class WalkTrace:
-    """Full execution record: initialization values plus every (k_i, p_i, v_i)."""
+    """Initialization values and step count of a finished walk.
+
+    The (k_i, p_i, v_i) rows are not stored: `steps` replays the walk from
+    `input` and `p0` when a caller asks for them."""
 
     input: WalkInput
     t0: int
     p0: int
     inv_p0: int
-    steps: tuple[WalkStep, ...] = ()
-    terminated: bool = False
+    n_steps: int
 
     @property
-    def current_p(self) -> int:
-        return self.steps[-1].p if self.steps else self.p0
-
-    @property
-    def current_v(self) -> int:
-        return self.steps[-1].v if self.steps else 1
+    def steps(self) -> tuple[WalkStep, ...]:
+        return tuple(WalkStep(*row) for row in _walk(self.input, self.p0, self.n_steps))
 
     def quotient(self, p: int, v: int) -> int:
         """(p*a - v*b)/c for a trace row; exact by the congruence invariant."""
@@ -97,36 +94,6 @@ class MultipleCertificate:
         return self.m * self.target
 
 
-def init_walk(inp: WalkInput) -> WalkTrace:
-    """Initialization: t0 = (-b * c^-1) mod a, p0 = (b + c*t0)/a, inv_p0 = p0^-1 mod c."""
-    a, b, c = inp.a, inp.b, inp.c
-    t0 = canonical_residue(-b * mod_inverse(c, a), a)
-    p0, rem = divmod(b + c * t0, a)
-    if rem != 0:
-        raise InvariantViolation(f"(b + c*t0) not divisible by a for {inp}")
-    inv_p0 = mod_inverse(p0, c)
-    return WalkTrace(input=inp, t0=t0, p0=p0, inv_p0=inv_p0)
-
-
-def walk_step(trace: WalkTrace) -> WalkTrace:
-    """Append one (k, p, v) step to the trace and return the new trace."""
-    if trace.terminated:
-        raise InvalidInputError("walk already terminated")
-    c = trace.input.c
-    if not trace.steps:
-        k = 1 + c // trace.p0
-        p = (k * trace.p0) % c
-    else:
-        prev2 = trace.steps[-2].p if len(trace.steps) >= 2 else trace.p0
-        prev1 = trace.steps[-1].p
-        k = 1 + prev2 // prev1
-        p = (k * prev1) % prev2
-    if p == 0:
-        raise InvariantViolation("p reached 0; coprimality precondition broken")
-    v = (p * trace.inv_p0) % c
-    return replace(trace, steps=trace.steps + (WalkStep(k, p, v),))
-
-
 def default_step_budget(c: int) -> int:
     # The chain occasionally enters slow arithmetic-descent phases
     # (p_i = p_{i-1} - r with small r), so a plain Euclid-length bound is
@@ -134,30 +101,47 @@ def default_step_budget(c: int) -> int:
     return 100 * c.bit_length() + 100
 
 
-class _ChainDegenerate(Exception):
-    """p reached 1 with the loop condition still true: every later step repeats
-    (p=1, same v), so this role assignment can never terminate.  Happens exactly
-    when the answer m is at least the modulus c; the swapped roles succeed."""
+def _walk(inp: WalkInput, p0: int, max_steps: int):
+    """Yield (k_i, p_i, v_i) for i = 1, 2, ... while p*a >= v*b.
 
-
-def _run_walk(inp: WalkInput, max_steps: int) -> WalkTrace:
-    trace = init_walk(inp)
+    p_i = k_i*p_{i-1} mod p_{i-2} from p_{-1} = c, and v_i = k_i*v_{i-1} - v_{i-2}
+    from v_{-1} = 0, v_0 = 1, so that p_i*a = v_i*b (mod c) throughout.  Equality
+    p*a == v*b would give w = 0, which is not a positive representation, so the
+    walk continues through it.  The walk also stops at p = 1: every later step
+    would repeat it, which happens exactly when the answer m is at least c."""
     a, b = inp.a, inp.b
-    # equality p*a == v*b would give w = 0, which is not a positive
-    # representation, so the walk continues through it
-    while trace.current_p * a >= trace.current_v * b:
-        if trace.current_p == 1:
-            raise _ChainDegenerate
-        if len(trace.steps) >= max_steps:
+    p_prev, p, v_prev, v = inp.c, p0, 0, 1
+    n = 0
+    while p * a >= v * b and p != 1:
+        if n >= max_steps:
             raise StepBudgetExceeded(
                 f"walk exceeded {max_steps} steps for (b={b}, a={a}, c={inp.c})")
-        trace = walk_step(trace)
-    return replace(trace, terminated=True)
+        k = 1 + p_prev // p
+        p_prev, p = p, k * p % p_prev
+        if p == 0:
+            raise InvariantViolation("p reached 0; coprimality precondition broken")
+        v_prev, v = v, k * v - v_prev
+        n += 1
+        yield k, p, v
+
+
+def _run_walk(inp: WalkInput, max_steps: int) -> tuple[WalkTrace, int, int]:
+    """Walk to the end; return the trace and the last row's (p, v)."""
+    a, b, c = inp.a, inp.b, inp.c
+    # t0 = (-b * c^-1) mod a and p0 = (b + c*t0)/a, so p0*a = b (mod c)
+    t0 = -b * pow(c, -1, a) % a
+    p0, rem = divmod(b + c * t0, a)
+    if rem != 0:
+        raise InvariantViolation(f"(b + c*t0) not divisible by a for {inp}")
+    n, p, v = 0, p0, 1
+    for n, (_, p, v) in enumerate(_walk(inp, p0, max_steps), start=1):
+        pass
+    return WalkTrace(input=inp, t0=t0, p0=p0, inv_p0=pow(p0, -1, c), n_steps=n), p, v
 
 
 def find_least_multiple(inp: WalkInput, max_steps: int | None = None
                         ) -> tuple[MultipleCertificate, WalkTrace]:
-    """Run the walk to termination; return the certificate and the full trace.
+    """Run the walk to termination; return the certificate and the trace.
 
     The chain enumerates candidate multipliers v below the modulus c, so it
     can only terminate when the answer m is below c.  If the caller's role
@@ -169,23 +153,19 @@ def find_least_multiple(inp: WalkInput, max_steps: int | None = None
     if max_steps < 1:
         raise InvalidInputError("max_steps must be >= 1")
     a, b, c = inp.a, inp.b, inp.c
-    swapped = False
-    try:
-        trace = _run_walk(inp, max_steps)
-    except _ChainDegenerate:
-        swapped = True
-        trace = _run_walk(WalkInput(b=b, a=c, c=a), max(max_steps, default_step_budget(a)))
-    m, p = trace.current_v, trace.current_p
-    if swapped:
-        # p is the coefficient of the swapped "a" role, i.e. of c
-        w = p
-        u, rem = divmod(m * b - p * c, a)
-    else:
+    trace, p, v = _run_walk(inp, max_steps)
+    if p * a < v * b:
         u = p
-        w, rem = divmod(m * b - p * a, c)
+        w, rem = divmod(v * b - p * a, c)
+    else:
+        # the walk stopped at p = 1, so m is at least c: swap the roles, after
+        # which p is the coefficient of the swapped "a" role, i.e. of c
+        trace, p, v = _run_walk(WalkInput(b=b, a=c, c=a), max(max_steps, default_step_budget(a)))
+        w = p
+        u, rem = divmod(v * b - p * c, a)
     if rem != 0:
         raise InvariantViolation(f"final quotient not integral for (b={b}, a={a}, c={c})")
-    cert = MultipleCertificate(m=m, u=u, w=w, target=b, pair_a=a, pair_c=c)
+    cert = MultipleCertificate(m=v, u=u, w=w, target=b, pair_a=a, pair_c=c)
     return cert, trace
 
 
@@ -198,7 +178,7 @@ def pair_representable(n: int, x: int, y: int) -> bool:
         raise NotPairwiseCoprimeError(x, y, g)
     if n < x + y:
         return False
-    u0 = canonical_residue(n * mod_inverse(x, y), y)
+    u0 = n * pow(x, -1, y) % y
     if u0 == 0:
         u0 = y
     return n - u0 * x >= y
@@ -232,7 +212,7 @@ def trace_to_json(trace: WalkTrace) -> dict:
         "t0": str(trace.t0),
         "p0": str(trace.p0),
         "inv_p0": str(trace.inv_p0),
-        "terminated": trace.terminated,
+        "terminated": True,
         "rows": [
             {"step": i, "k": None if k is None else str(k),
              "p": str(p), "v": str(v), "quotient": str(q)}

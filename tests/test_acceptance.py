@@ -9,7 +9,6 @@ criterion anyway and is expected to be red; see README.md.
 """
 
 import math
-import pathlib
 import random
 import time
 
@@ -100,15 +99,13 @@ def test_criterion_5_small_fixtures():
     report(5, ok, f"(g357={r1.g}, g579={r2.g})")
 
 
-def test_criterion_6_step_count_flatness():
-    archive = pathlib.Path(__file__).resolve().parent.parent / "bench_data"
-    archive.mkdir(exist_ok=True)
+def test_criterion_6_step_count_flatness(tmp_path):
     start = time.monotonic()
     mean100 = run_bench(BenchConfig(digits=100, samples=20, seed=42,
-                                    output_path=str(archive / "steps_100d.csv"))
+                                    output_path=str(tmp_path / "steps_100d.csv"))
                         ).summary()["steps_total"]["mean"]
     mean1000 = run_bench(BenchConfig(digits=1000, samples=20, seed=42,
-                                     output_path=str(archive / "steps_1000d.csv"))
+                                     output_path=str(tmp_path / "steps_1000d.csv"))
                          ).summary()["steps_total"]["mean"]
     elapsed = time.monotonic() - start
     ratio = mean1000 / mean100

@@ -64,6 +64,9 @@ class TestLeastMultiple:
         code, out, _ = run(capsys, "least-multiple", "5", "--pair", "3", "7")
         assert code == 0
         assert "2·5 = 1·3 + 1·7" in out
+        code, out, _ = run(capsys, "least-multiple", "11", "--pair", "2", "3")
+        assert code == 0
+        assert out == "1·11 = 1·2 + 3·3\n"
 
     def test_m_equals_one(self, capsys):
         code, out, _ = run(capsys, "least-multiple", "12", "--pair", "5", "7")
@@ -74,9 +77,17 @@ class TestLeastMultiple:
         code, out, _ = run(capsys, "least-multiple", "8231",
                            "--pair", "7523", "9533", "--trace")
         assert code == 0
-        table = [line.split() for line in out.splitlines()[1:8]]
-        assert [row[1] for row in table] == ["-", "2", "2", "3", "2", "2", "5"]
-        assert [row[3] for row in table] == ["7001", "4469", "1937", "1342", "747", "152", "13"]
+        assert out == (
+            "step  k   v     p  (p*a-v*b)/c\n"
+            "   0  -   1  7001         5524\n"
+            "   1  2   2  4469         3525\n"
+            "   2  2   3  1937         1526\n"
+            "   3  3   7  1342         1053\n"
+            "   4  2  11   747          580\n"
+            "   5  2  15   152          107\n"
+            "   6  5  64    13          -45\n"
+            "v column: v_i = p_i·(p0⁻¹ mod c) mod c\n"
+            "64·8231 = 13·7523 + 45·9533\n")
 
     def test_trace_golden_json(self, capsys):
         code, out, _ = run(capsys, "least-multiple", "8231",

@@ -4,43 +4,7 @@ import random
 import pytest
 
 from frobenius3.errors import InvalidInputError, NotInvertibleError, NotPairwiseCoprimeError
-from frobenius3.modarith import Congruence, canonical_residue, crt_combine, ext_gcd, mod_inverse
-
-
-class TestExtGcd:
-    def test_small(self):
-        r = ext_gcd(5, 3)
-        assert (r.g, r.s, r.t) == (1, -1, 2)
-        r = ext_gcd(6, 4)
-        assert (r.g, r.s, r.t) == (2, 1, -1)
-
-    def test_worked_pair(self):
-        r = ext_gcd(9533, 7001)
-        assert r.g == 1
-        assert r.s * 9533 + r.t * 7001 == 1
-        # direct multiplication check of the known coefficients
-        assert 1612 * 9533 - 2195 * 7001 == 1
-        assert (r.s, r.t) == (1612, -2195)
-
-    def test_zero_cases(self):
-        assert ext_gcd(0, 7).g == 7
-        assert ext_gcd(7, 0).g == 7
-        with pytest.raises(InvalidInputError):
-            ext_gcd(0, 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ext_gcd(-3, 5)
-
-    def test_bezout_random_bignums(self):
-        rng = random.Random(20260823)
-        for _ in range(300):
-            x = rng.randrange(0, 10**50)
-            y = rng.randrange(1, 10**50)
-            r = ext_gcd(x, y)
-            assert r.s * x + r.t * y == r.g
-            assert r.g == math.gcd(x, y)
-            assert x % r.g == 0 and y % r.g == 0
+from frobenius3.modarith import Congruence, crt_combine, mod_inverse
 
 
 class TestModInverse:
@@ -53,6 +17,8 @@ class TestModInverse:
         with pytest.raises(NotInvertibleError) as exc:
             mod_inverse(6, 9)
         assert exc.value.gcd == 3
+        with pytest.raises(InvalidInputError):
+            mod_inverse(5, 1)
 
     def test_inverse_property(self):
         rng = random.Random(7)
@@ -68,26 +34,6 @@ class TestModInverse:
     def test_negative_argument(self):
         y = mod_inverse(-3, 7)
         assert (-3 * y) % 7 == 1
-
-
-class TestCanonicalResidue:
-    def test_examples(self):
-        assert canonical_residue(-5, 3) == 1
-        assert canonical_residue(14, 5) == 4
-        assert canonical_residue(0, 9533) == 0
-
-    def test_always_nonnegative(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            m = rng.randrange(2, 10**12)
-            x = rng.randrange(-10**15, 10**15)
-            r = canonical_residue(x, m)
-            assert 0 <= r < m
-            assert (x - r) % m == 0
-
-    def test_bad_modulus(self):
-        with pytest.raises(InvalidInputError):
-            canonical_residue(5, 1)
 
 
 class TestCrtCombine:
@@ -110,6 +56,8 @@ class TestCrtCombine:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             crt_combine([])
+        with pytest.raises(InvalidInputError):
+            Congruence(3, 1)
 
     def test_single_congruence(self):
         assert crt_combine([Congruence(3, 7)]) == (3, 7)

@@ -23,11 +23,13 @@ class TestSieve:
                         assert sieve.table[n + g]
 
     def test_matches_definition(self):
-        gens = (3, 5, 7)
-        sieve = build_sieve(gens, 60)
-        for n in range(61):
-            expected = n == 0 or any(n >= g and sieve.table[n - g] for g in gens)
-            assert bool(sieve.table[n]) == expected
+        for gens, bound in (((3, 5, 7), 60), ((3, 5, 7), 0), ((4, 7, 9), 8), ((2, 3), 20),
+                            ((6, 10, 15), 100), ((7,), 30), ((11, 13, 17), 5)):
+            sieve = build_sieve(gens, bound)
+            assert len(sieve.table) == bound + 1
+            for n in range(bound + 1):
+                expected = n == 0 or any(n >= g and sieve.table[n - g] for g in gens)
+                assert bool(sieve.table[n]) == expected
 
 
 class TestOracleFrobenius:

@@ -94,14 +94,14 @@ class TestCongruenceSystems:
         t = validate_triple(3, 5, 7)
         certs, _ = least_multiples_all(t)
         sys_a, sys_b = build_congruence_systems(t, *certs)
-        assert [(c.residue, c.modulus) for c in sys_a.congruences] == [(5, 7), (1, 3), (4, 5)]
-        assert [(c.residue, c.modulus) for c in sys_b.congruences] == [(2, 5), (3, 7), (2, 3)]
+        assert [(c.residue, c.modulus) for c in sys_a] == [(5, 7), (1, 3), (4, 5)]
+        assert [(c.residue, c.modulus) for c in sys_b] == [(2, 5), (3, 7), (2, 3)]
 
     def test_canonicalized_residues_579(self):
         t = validate_triple(5, 7, 9)
         certs, _ = least_multiples_all(t)
         sys_a, _ = build_congruence_systems(t, *certs)
-        assert [(c.residue, c.modulus) for c in sys_a.congruences] == [(7, 9), (4, 5), (6, 7)]
+        assert [(c.residue, c.modulus) for c in sys_a] == [(7, 9), (4, 5), (6, 7)]
 
 
 class TestFrobenius:

@@ -14,13 +14,12 @@ from frobenius3.oracle import oracle_least_multiple
 from frobenius3.walk import (
     MultipleCertificate,
     WalkInput,
+    default_step_budget,
     find_least_multiple,
-    init_walk,
     pair_representable,
     trace_rows,
     trace_table,
     trace_to_json,
-    walk_step,
 )
 
 GOLDEN = WalkInput(b=8231, a=7523, c=9533)
@@ -48,48 +47,42 @@ class TestWalkInput:
 
 class TestInitWalk:
     def test_golden(self):
-        tr = init_walk(GOLDEN)
+        _, tr = find_least_multiple(GOLDEN)
+        assert tr.input == GOLDEN
         assert (tr.t0, tr.p0) == (5524, 7001)
         assert 7001 * 7523 == 8231 + 5524 * 9533
         assert tr.inv_p0 == 7338
 
     def test_small(self):
-        tr = init_walk(WalkInput(b=5, a=3, c=7))
+        _, tr = find_least_multiple(WalkInput(b=5, a=3, c=7))
         assert (tr.t0, tr.p0) == (1, 4)
-        tr = init_walk(WalkInput(b=7, a=3, c=5))
+        _, tr = find_least_multiple(WalkInput(b=7, a=3, c=5))
         assert (tr.t0, tr.p0) == (1, 4)
 
     def test_identity_holds_generally(self):
         for a1, a2, a3 in coprime_triples(25):
-            tr = init_walk(WalkInput(b=a2, a=a1, c=a3))
-            assert tr.p0 * a1 == a2 + tr.t0 * a3
-            assert (tr.p0 * a1) % a3 == a2 % a3
+            _, tr = find_least_multiple(WalkInput(b=a2, a=a1, c=a3))
+            a, b, c = tr.input.a, tr.input.b, tr.input.c
+            assert tr.p0 * a == b + tr.t0 * c
+            assert (tr.p0 * a) % c == b % c
 
 
 class TestWalkStep:
     def test_golden_sequences(self):
-        tr = init_walk(GOLDEN)
-        for _ in range(6):
-            tr = walk_step(tr)
+        _, tr = find_least_multiple(GOLDEN)
+        assert tr.n_steps == 6
         assert [s.k for s in tr.steps] == [2, 2, 3, 2, 2, 5]
         assert [s.p for s in tr.steps] == [4469, 1937, 1342, 747, 152, 13]
         assert [s.v for s in tr.steps] == [2, 3, 7, 11, 15, 64]
 
     def test_first_step_small(self):
-        tr = walk_step(init_walk(WalkInput(b=5, a=3, c=7)))
+        _, tr = find_least_multiple(WalkInput(b=5, a=3, c=7))
         s = tr.steps[0]
         assert (s.k, s.p, s.v) == (2, 1, 2)
-
-    def test_immutability(self):
-        tr0 = init_walk(GOLDEN)
-        tr1 = walk_step(tr0)
-        assert tr0.steps == ()
-        assert len(tr1.steps) == 1
-
-    def test_step_after_termination_rejected(self):
-        _, tr = find_least_multiple(WalkInput(b=5, a=3, c=7))
-        with pytest.raises(InvalidInputError):
-            walk_step(tr)
+        # p0 = 7 > c = 3: the first step reduces k*p0 mod c with k = 1
+        _, tr = find_least_multiple(WalkInput(b=11, a=2, c=3))
+        assert tr.p0 == 7
+        assert [(s.k, s.p, s.v) for s in tr.steps] == [(1, 1, 1)]
 
 
 class TestFindLeastMultiple:
@@ -165,7 +158,7 @@ class TestTraceInvariants:
                 assert vs[i] == (ks[i - 1] * vs[i - 1] - vs[i - 2]) % c
 
     def test_step_budget_property(self):
-        # step count stays far below the default budget on random inputs
+        # step count stays within the default budget on random inputs
         rng = random.Random(5)
         for _ in range(50):
             vals = sorted(rng.sample(range(2, 2000), 3))
@@ -173,7 +166,7 @@ class TestTraceInvariants:
             if math.gcd(a1, a2) != 1 or math.gcd(a1, a3) != 1 or math.gcd(a2, a3) != 1:
                 continue
             _, tr = find_least_multiple(WalkInput(b=a2, a=a1, c=a3))
-            assert tr.terminated
+            assert tr.n_steps == len(tr.steps) <= default_step_budget(tr.input.c)
 
 
 class TestCertificate:

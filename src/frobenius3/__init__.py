@@ -20,7 +20,6 @@ from .solver import (
     FrobeniusResult,
     ValidatedTriple,
     frobenius,
-    frobenius_positive,
     pair_frobenius,
     result_to_json,
     validate_triple,
@@ -39,8 +38,8 @@ __all__ = [
     "TripleGenerationError",
     "Congruence", "crt_combine", "mod_inverse",
     "oracle_frobenius", "oracle_least_multiple", "oracle_representable",
-    "FrobeniusResult", "ValidatedTriple", "frobenius", "frobenius_positive",
-    "pair_frobenius", "result_to_json", "validate_triple",
+    "FrobeniusResult", "ValidatedTriple", "frobenius", "pair_frobenius",
+    "result_to_json", "validate_triple",
     "MultipleCertificate", "WalkInput", "WalkTrace", "find_least_multiple",
     "pair_representable",
 ]

@@ -32,8 +32,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_bigint(text: str) -> int:
-    """Base-10 integer of arbitrary length; leading zeros and signs rejected."""
-    if not text.isdigit():
+    """Base-10 integer of arbitrary length in ASCII digits; leading zeros and signs rejected."""
+    if not (text.isascii() and text.isdigit()):
         raise InvalidInputError(f"not a decimal integer: {text!r}")
     if len(text) > 1 and text[0] == "0":
         raise InvalidInputError(f"leading zeros not allowed: {text!r}")
@@ -188,6 +188,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # integers of any length: lift the interpreter's int/str conversion limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         code = _HANDLERS[args.command](args)

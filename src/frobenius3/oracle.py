@@ -6,7 +6,6 @@ validated against an independent reference in tests and `frob3 verify`.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidInputError, InvariantViolation, OracleBoundExceeded
 from .walk import MultipleCertificate
@@ -18,17 +17,9 @@ NONNEG = "nonneg"
 POSITIVE = "positive"
 
 
-@dataclass
-class RepresentabilitySieve:
-    """table[n] is truthy iff n is a nonnegative combination of the generators."""
-
-    generators: tuple[int, ...]
-    bound: int
-    table: bytearray
-
-
-def build_sieve(generators, bound: int) -> RepresentabilitySieve:
-    """Dynamic-programming reachability table over [0, bound]."""
+def build_sieve(generators, bound: int) -> bytearray:
+    """Reachability table over [0, bound]: table[n] is 1 iff n is a nonnegative
+    combination of the generators, else 0."""
     gens = tuple(sorted(generators))
     for g in gens:
         if g < 2:
@@ -43,7 +34,7 @@ def build_sieve(generators, bound: int) -> RepresentabilitySieve:
             if i >= 0:
                 start = r + i * g
                 table[start::g] = b"\x01" * ((bound - start) // g + 1)
-    return RepresentabilitySieve(gens, bound, table)
+    return table
 
 
 def _check_pairwise_coprime(gens):
@@ -69,8 +60,7 @@ def oracle_frobenius(generators, convention: str = NONNEG) -> int:
             f"min pair product {min_pair_product} exceeds oracle guard {MAX_PAIR_PRODUCT}")
     total = sum(gens)
     bound = min_pair_product + total
-    sieve = build_sieve(gens, bound)
-    g = sieve.table.rfind(0)
+    g = build_sieve(gens, bound).rfind(0)
     if g < 0:
         raise InvariantViolation("sieve found no gaps; bound logic broken")
     if convention == NONNEG:
@@ -120,5 +110,4 @@ def oracle_representable(n: int, generators, convention: str = NONNEG) -> bool:
         raise InvalidInputError(f"unknown convention {convention!r}")
     if n == 0:
         return True
-    sieve = build_sieve(gens, n)
-    return bool(sieve.table[n])
+    return bool(build_sieve(gens, n)[n])

@@ -104,17 +104,14 @@ def pair_frobenius(x: int, y: int) -> int:
 def least_multiples_all(t: ValidatedTriple) -> tuple[
         tuple[MultipleCertificate, MultipleCertificate, MultipleCertificate],
         tuple[WalkTrace, WalkTrace, WalkTrace]]:
-    """Least multiple of each generator over the other two, with traces.
-
-    The smaller pair element always takes role "a" so traces are deterministic;
-    the resulting m is role-independent."""
+    """Least multiple of each generator over the other two, with traces."""
     if t.degenerate:
         raise InvalidInputError("least multiples are only defined for non-degenerate triples")
     certs, traces = [], []
     for i in range(3):
         target = t.generators[i]
-        pair = [g for j, g in enumerate(t.generators) if j != i]
-        cert, trace = find_least_multiple(WalkInput(b=target, a=min(pair), c=max(pair)))
+        a, c = (g for j, g in enumerate(t.generators) if j != i)
+        cert, trace = find_least_multiple(WalkInput(b=target, a=a, c=c))
         certs.append(cert)
         traces.append(trace)
     return tuple(certs), tuple(traces)
@@ -172,14 +169,6 @@ def assemble_result(t: ValidatedTriple,
     )
 
 
-def frobenius_positive(t: ValidatedTriple) -> FrobeniusResult:
-    """Full certified computation for a validated non-degenerate triple."""
-    if t.degenerate:
-        raise InvalidInputError("frobenius_positive requires a non-degenerate triple")
-    certs, _ = least_multiples_all(t)
-    return assemble_result(t, certs)
-
-
 def frobenius(x1: int, x2: int, x3: int) -> FrobeniusResult:
     """Top-level entry: validate, reduce degenerate triples to the pair formula,
     otherwise run the certified three-generator computation."""
@@ -190,7 +179,8 @@ def frobenius(x1: int, x2: int, x3: int) -> FrobeniusResult:
         return FrobeniusResult(a1=t.a1, a2=t.a2, a3=t.a3,
                                g=g, f_pos=g + t.total,
                                degenerate_member=t.degenerate_member)
-    return frobenius_positive(t)
+    certs, _ = least_multiples_all(t)
+    return assemble_result(t, certs)
 
 
 def result_to_json(res: FrobeniusResult) -> dict:

@@ -95,9 +95,8 @@ class MultipleCertificate:
 
 
 def default_step_budget(c: int) -> int:
-    # The chain occasionally enters slow arithmetic-descent phases
-    # (p_i = p_{i-1} - r with small r), so a plain Euclid-length bound is
-    # not enough; 100x bit length has ample slack over observed maxima.
+    # A heuristic, not a proven bound: valid inputs with long runs of k = 2
+    # steps exceed it (ROADMAP item 1 replaces it with a provable bound).
     return 100 * c.bit_length() + 100
 
 
@@ -107,65 +106,50 @@ def _walk(inp: WalkInput, p0: int, max_steps: int):
     p_i = k_i*p_{i-1} mod p_{i-2} from p_{-1} = c, and v_i = k_i*v_{i-1} - v_{i-2}
     from v_{-1} = 0, v_0 = 1, so that p_i*a = v_i*b (mod c) throughout.  Equality
     p*a == v*b would give w = 0, which is not a positive representation, so the
-    walk continues through it.  The walk also stops at p = 1: every later step
-    would repeat it, which happens exactly when the answer m is at least c."""
+    walk continues through it.  With a < c the walk stops at p = 1 at the latest
+    (there v*b = a + w*c with v < c); p = 1 without a stop would repeat forever."""
     a, b = inp.a, inp.b
     p_prev, p, v_prev, v = inp.c, p0, 0, 1
     n = 0
-    while p * a >= v * b and p != 1:
+    while p * a >= v * b:
+        if p == 1:
+            raise InvariantViolation(f"walk reached p = 1 without stopping for {inp}")
         if n >= max_steps:
             raise StepBudgetExceeded(
                 f"walk exceeded {max_steps} steps for (b={b}, a={a}, c={inp.c})")
         k = 1 + p_prev // p
         p_prev, p = p, k * p % p_prev
-        if p == 0:
-            raise InvariantViolation("p reached 0; coprimality precondition broken")
         v_prev, v = v, k * v - v_prev
         n += 1
         yield k, p, v
 
 
-def _run_walk(inp: WalkInput, max_steps: int) -> tuple[WalkTrace, int, int]:
-    """Walk to the end; return the trace and the last row's (p, v)."""
-    a, b, c = inp.a, inp.b, inp.c
+def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]:
+    """Run the walk to termination; return the certificate and the trace.
+
+    The walk takes the smaller pair element as its "a" and the larger as its
+    modulus c, so the answer m is below c, where the walk finds it.  The trace
+    is of that walk; the certificate is in the caller's (pair_a, pair_c) order.
+    """
+    b = inp.b
+    walk_inp = inp if inp.a < inp.c else WalkInput(b=b, a=inp.c, c=inp.a)
+    a, c = walk_inp.a, walk_inp.c
     # t0 = (-b * c^-1) mod a and p0 = (b + c*t0)/a, so p0*a = b (mod c)
     t0 = -b * pow(c, -1, a) % a
     p0, rem = divmod(b + c * t0, a)
     if rem != 0:
-        raise InvariantViolation(f"(b + c*t0) not divisible by a for {inp}")
+        raise InvariantViolation(f"(b + c*t0) not divisible by a for {walk_inp}")
     n, p, v = 0, p0, 1
-    for n, (_, p, v) in enumerate(_walk(inp, p0, max_steps), start=1):
+    for n, (_, p, v) in enumerate(_walk(walk_inp, p0, default_step_budget(c)), start=1):
         pass
-    return WalkTrace(input=inp, t0=t0, p0=p0, inv_p0=pow(p0, -1, c), n_steps=n), p, v
-
-
-def find_least_multiple(inp: WalkInput, max_steps: int | None = None
-                        ) -> tuple[MultipleCertificate, WalkTrace]:
-    """Run the walk to termination; return the certificate and the trace.
-
-    The chain enumerates candidate multipliers v below the modulus c, so it
-    can only terminate when the answer m is below c.  If the caller's role
-    assignment makes that impossible the roles are swapped internally; the
-    certificate is still expressed in the caller's (pair_a, pair_c) order.
-    """
-    if max_steps is None:
-        max_steps = default_step_budget(inp.c)
-    if max_steps < 1:
-        raise InvalidInputError("max_steps must be >= 1")
-    a, b, c = inp.a, inp.b, inp.c
-    trace, p, v = _run_walk(inp, max_steps)
-    if p * a < v * b:
-        u = p
-        w, rem = divmod(v * b - p * a, c)
-    else:
-        # the walk stopped at p = 1, so m is at least c: swap the roles, after
-        # which p is the coefficient of the swapped "a" role, i.e. of c
-        trace, p, v = _run_walk(WalkInput(b=b, a=c, c=a), max(max_steps, default_step_budget(a)))
-        w = p
-        u, rem = divmod(v * b - p * c, a)
+    u = p
+    w, rem = divmod(v * b - p * a, c)
     if rem != 0:
-        raise InvariantViolation(f"final quotient not integral for (b={b}, a={a}, c={c})")
-    cert = MultipleCertificate(m=v, u=u, w=w, target=b, pair_a=a, pair_c=c)
+        raise InvariantViolation(f"final quotient not integral for {walk_inp}")
+    if walk_inp is not inp:
+        u, w = w, u
+    cert = MultipleCertificate(m=v, u=u, w=w, target=b, pair_a=inp.a, pair_c=inp.c)
+    trace = WalkTrace(input=walk_inp, t0=t0, p0=p0, inv_p0=pow(p0, -1, c), n_steps=n)
     return cert, trace
 
 

@@ -169,8 +169,7 @@ def test_criterion_7c_role_symmetry():
         if math.gcd(b, x) != 1 or math.gcd(b, y) != 1 or math.gcd(x, y) != 1:
             continue
         # same minimum either way; each certificate's identity is exact
-        # (checked at construction).  The (u, w) pair itself may differ between
-        # roles when m*target has several positive decompositions.
+        # (checked at construction).
         c1, _ = find_least_multiple(WalkInput(b=b, a=x, c=y))
         c2, _ = find_least_multiple(WalkInput(b=b, a=y, c=x))
         if c1.m != c2.m:

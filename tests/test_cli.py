@@ -18,7 +18,7 @@ class TestParseBigint:
         assert parse_bigint("12345678901234567890") == 12345678901234567890
 
     def test_rejects(self):
-        for bad in ("007", "-5", "+5", "1e3", "", "12.3"):
+        for bad in ("007", "-5", "+5", "1e3", "", "12.3", "²", "٣"):
             with pytest.raises(InvalidInputError):
                 parse_bigint(bad)
 
@@ -57,6 +57,16 @@ class TestCompute:
     def test_bad_integer_exit_2(self, capsys):
         code, _, _ = run(capsys, "compute", "03", "5", "7")
         assert code == 2
+        for bad in ("²", "٣"):
+            code, _, err = run(capsys, "compute", bad, "5", "7")
+            assert code == 2
+            assert "not a decimal integer" in err
+
+    def test_over_4300_digits(self, capsys):
+        big = "1" + "0" * 4399 + "1"
+        code, out, _ = run(capsys, "compute", "3", "7", big)
+        assert code == 0
+        assert out.splitlines()[0] == f"input: 3 7 {big}"
 
 
 class TestLeastMultiple:
@@ -67,6 +77,17 @@ class TestLeastMultiple:
         code, out, _ = run(capsys, "least-multiple", "11", "--pair", "2", "3")
         assert code == 0
         assert out == "1·11 = 1·2 + 3·3\n"
+
+    def test_over_4300_digits(self, capsys):
+        big = "1" + "0" * 4399 + "1"
+        code, out, _ = run(capsys, "least-multiple", big, "--pair", "3", "7")
+        assert code == 0
+        # main lifted the interpreter's int/str digit limit, so int() reads u and w
+        lhs, rhs = out.strip().split(" = ")
+        m, target = map(int, lhs.split("·"))
+        (u, x), (w, y) = (map(int, term.split("·")) for term in rhs.split(" + "))
+        assert (target, x, y) == (10**4400 + 1, 3, 7)
+        assert m * target == u * x + w * y
 
     def test_m_equals_one(self, capsys):
         code, out, _ = run(capsys, "least-multiple", "12", "--pair", "5", "7")

@@ -14,22 +14,22 @@ from frobenius3.oracle import (
 class TestSieve:
     def test_self_consistency(self):
         gens = (4, 7, 9)
-        sieve = build_sieve(gens, 200)
-        assert sieve.table[0] == 1
+        table = build_sieve(gens, 200)
+        assert table[0] == 1
         for n in range(201):
-            if sieve.table[n]:
+            if table[n]:
                 for g in gens:
                     if n + g <= 200:
-                        assert sieve.table[n + g]
+                        assert table[n + g]
 
     def test_matches_definition(self):
         for gens, bound in (((3, 5, 7), 60), ((3, 5, 7), 0), ((4, 7, 9), 8), ((2, 3), 20),
                             ((6, 10, 15), 100), ((7,), 30), ((11, 13, 17), 5)):
-            sieve = build_sieve(gens, bound)
-            assert len(sieve.table) == bound + 1
+            table = build_sieve(gens, bound)
+            assert len(table) == bound + 1
             for n in range(bound + 1):
-                expected = n == 0 or any(n >= g and sieve.table[n - g] for g in gens)
-                assert bool(sieve.table[n]) == expected
+                expected = n == 0 or any(n >= g and table[n - g] for g in gens)
+                assert bool(table[n]) == expected
 
 
 class TestOracleFrobenius:
@@ -39,8 +39,8 @@ class TestOracleFrobenius:
         assert oracle_frobenius((5, 7, 9)) == 13
 
     def test_gaps_357(self):
-        sieve = build_sieve((3, 5, 7), 20)
-        gaps = [n for n in range(21) if not sieve.table[n]]
+        table = build_sieve((3, 5, 7), 20)
+        gaps = [n for n in range(21) if not table[n]]
         assert gaps == [1, 2, 4]
 
     def test_order_independence(self):

@@ -9,7 +9,6 @@ from frobenius3.oracle import oracle_frobenius, oracle_representable
 from frobenius3.solver import (
     build_congruence_systems,
     frobenius,
-    frobenius_positive,
     least_multiples_all,
     pair_frobenius,
     result_to_json,
@@ -166,10 +165,6 @@ class TestResultProperties:
             for g in vals:
                 assert oracle_representable(r.f_pos + g, vals, "positive")
             checked += 1
-
-    def test_frobenius_positive_requires_nondegenerate(self):
-        with pytest.raises(InvalidInputError):
-            frobenius_positive(validate_triple(3, 5, 8))
 
 
 class TestJsonSerialization:

@@ -100,13 +100,17 @@ class TestFindLeastMultiple:
         cert, _ = find_least_multiple(WalkInput(b=12, a=5, c=7))
         assert (cert.m, cert.u, cert.w) == (1, 1, 1)
 
-    def test_budget_exhaustion(self):
-        with pytest.raises(StepBudgetExceeded):
-            find_least_multiple(GOLDEN, max_steps=2)
+    def test_reversed_roles(self):
+        # the walk runs on (a, c) = (2, 3); (u, w) comes back in the caller's order
+        cert, tr = find_least_multiple(WalkInput(b=11, a=3, c=2))
+        assert (cert.m, cert.u, cert.w) == (1, 3, 1)
+        assert (cert.pair_a, cert.pair_c) == (3, 2)
+        assert tr.input == WalkInput(b=11, a=2, c=3)
 
-    def test_bad_budget(self):
-        with pytest.raises(InvalidInputError):
-            find_least_multiple(GOLDEN, max_steps=0)
+    def test_budget_exhaustion(self):
+        # a long run of k = 2 steps needs more than default_step_budget(20001) = 1,600
+        with pytest.raises(StepBudgetExceeded):
+            find_least_multiple(WalkInput(b=10001, a=10000, c=20001))
 
     def test_minimality_vs_oracle_small(self):
         for a1, a2, a3 in coprime_triples(30):
@@ -122,10 +126,12 @@ class TestFindLeastMultiple:
             a1, a2, a3 = vals
             if math.gcd(a1, a2) != 1 or math.gcd(a1, a3) != 1 or math.gcd(a2, a3) != 1:
                 continue
-            c1, _ = find_least_multiple(WalkInput(b=a2, a=a1, c=a3))
-            c2, _ = find_least_multiple(WalkInput(b=a2, a=a3, c=a1))
+            c1, t1 = find_least_multiple(WalkInput(b=a2, a=a1, c=a3))
+            c2, t2 = find_least_multiple(WalkInput(b=a2, a=a3, c=a1))
             assert c1.m == c2.m
             assert (c1.u, c1.w) == (c2.w, c2.u)
+            assert t1 == t2
+            assert t1.input.a < t1.input.c
             checked += 1
 
 

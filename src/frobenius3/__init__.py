@@ -8,13 +8,12 @@ from .errors import (
     Frobenius3Error,
     InvalidInputError,
     InvariantViolation,
-    NotInvertibleError,
     NotPairwiseCoprimeError,
     OracleBoundExceeded,
     StepBudgetExceeded,
     TripleGenerationError,
 )
-from .modarith import Congruence, crt_combine, mod_inverse
+from .modarith import Congruence, crt_combine
 from .oracle import oracle_frobenius, oracle_least_multiple, oracle_representable
 from .solver import (
     FrobeniusResult,
@@ -33,10 +32,9 @@ from .walk import (
 )
 
 __all__ = [
-    "Frobenius3Error", "InvalidInputError", "InvariantViolation", "NotInvertibleError",
-    "NotPairwiseCoprimeError", "OracleBoundExceeded", "StepBudgetExceeded",
-    "TripleGenerationError",
-    "Congruence", "crt_combine", "mod_inverse",
+    "Frobenius3Error", "InvalidInputError", "InvariantViolation", "NotPairwiseCoprimeError",
+    "OracleBoundExceeded", "StepBudgetExceeded", "TripleGenerationError",
+    "Congruence", "crt_combine",
     "oracle_frobenius", "oracle_least_multiple", "oracle_representable",
     "FrobeniusResult", "ValidatedTriple", "frobenius", "pair_frobenius",
     "result_to_json", "validate_triple",

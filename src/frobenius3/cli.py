@@ -167,11 +167,7 @@ def cmd_bench(args) -> int:
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        report = run_bench(config)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    report = run_bench(config)
     if args.json:
         print(json.dumps(report.summary(), indent=2))
     else:

@@ -9,16 +9,6 @@ class InvalidInputError(Frobenius3Error, ValueError):
     """Caller passed arguments violating a documented precondition."""
 
 
-class NotInvertibleError(InvalidInputError):
-    """Modular inverse requested for a non-unit; carries the offending gcd."""
-
-    def __init__(self, value: int, modulus: int, gcd: int):
-        super().__init__(f"{value} is not invertible mod {modulus}: gcd = {gcd}")
-        self.value = value
-        self.modulus = modulus
-        self.gcd = gcd
-
-
 class NotPairwiseCoprimeError(InvalidInputError):
     """Two of the given integers share a common factor; names the pair."""
 

@@ -1,4 +1,4 @@
-"""Arbitrary-precision modular arithmetic: inverses and CRT.
+"""Arbitrary-precision modular arithmetic: CRT.
 
 All functions are pure and operate on Python ints, so thousand-digit
 inputs work unchanged.
@@ -7,7 +7,7 @@ inputs work unchanged.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, NotInvertibleError, NotPairwiseCoprimeError
+from .errors import InvalidInputError, NotPairwiseCoprimeError
 
 
 @dataclass(frozen=True)
@@ -21,16 +21,6 @@ class Congruence:
         if self.modulus < 2:
             raise InvalidInputError(f"modulus must be >= 2, got {self.modulus}")
         object.__setattr__(self, "residue", self.residue % self.modulus)
-
-
-def mod_inverse(x: int, m: int) -> int:
-    """Inverse of x modulo m, in [1, m-1]. Raises NotInvertibleError if gcd != 1."""
-    if m < 2:
-        raise InvalidInputError(f"modulus must be >= 2, got {m}")
-    try:
-        return pow(x, -1, m)
-    except ValueError:
-        raise NotInvertibleError(x, m, math.gcd(x, m)) from None
 
 
 def crt_combine(congruences: list[Congruence] | tuple[Congruence, ...]) -> tuple[int, int]:
@@ -49,7 +39,7 @@ def crt_combine(congruences: list[Congruence] | tuple[Congruence, ...]) -> tuple
         g = math.gcd(m, m2)
         if g != 1:
             raise NotPairwiseCoprimeError(m, m2, g)
-        diff = ((r2 - x) * mod_inverse(m, m2)) % m2
+        diff = ((r2 - x) * pow(m, -1, m2)) % m2
         x = x + m * diff
         m = m * m2
     return x, m

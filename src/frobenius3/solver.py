@@ -117,33 +117,21 @@ def least_multiples_all(t: ValidatedTriple) -> tuple[
     return tuple(certs), tuple(traces)
 
 
-# modulus paired with each certificate, per system, as (index into generators)
+# modulus paired with each certificate, per system, as (index into generators):
+# the two cyclic residue systems whose CRT solutions are the f_pos candidates.
+# System A: x = L1 mod a3, x = L2 mod a1, x = L3 mod a2.
+# System B: x = L1 mod a2, x = L2 mod a3, x = L3 mod a1.
 _SYSTEM_A_MODULI = (2, 0, 1)
 _SYSTEM_B_MODULI = (1, 2, 0)
-
-
-def build_congruence_systems(t: ValidatedTriple,
-                             l1: MultipleCertificate,
-                             l2: MultipleCertificate,
-                             l3: MultipleCertificate
-                             ) -> tuple[tuple[Congruence, ...], tuple[Congruence, ...]]:
-    """The two cyclic residue systems whose CRT solutions are the f_pos candidates.
-
-    System A: x = L1 mod a3, x = L2 mod a1, x = L3 mod a2.
-    System B: x = L1 mod a2, x = L2 mod a3, x = L3 mod a1.
-    """
-    return tuple(
-        tuple(Congruence(cert.value, t.generators[i]) for cert, i in zip((l1, l2, l3), moduli))
-        for moduli in (_SYSTEM_A_MODULI, _SYSTEM_B_MODULI))
 
 
 def assemble_result(t: ValidatedTriple,
                     certs: tuple[MultipleCertificate, MultipleCertificate, MultipleCertificate]
                     ) -> FrobeniusResult:
     """CRT both systems, pick the max, derive g and the decompositions, check everything."""
-    sys_a, sys_b = build_congruence_systems(t, *certs)
-    cand_a, prod_a = crt_combine(sys_a)
-    cand_b, prod_b = crt_combine(sys_b)
+    (cand_a, prod_a), (cand_b, prod_b) = (
+        crt_combine([Congruence(cert.value, t.generators[i]) for cert, i in zip(certs, moduli)])
+        for moduli in (_SYSTEM_A_MODULI, _SYSTEM_B_MODULI))
     modulus = t.a1 * t.a2 * t.a3
     if prod_a != modulus or prod_b != modulus:
         raise InvariantViolation("CRT modulus product mismatch")

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from frobenius3.cli import main, parse_bigint
-from frobenius3.errors import InvalidInputError
+from frobenius3.errors import InvalidInputError, StepBudgetExceeded
 
 
 def run(capsys, *argv):
@@ -67,6 +67,14 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "3", "7", big)
         assert code == 0
         assert out.splitlines()[0] == f"input: 3 7 {big}"
+
+    @pytest.mark.xfail(strict=True, raises=StepBudgetExceeded,
+                       reason="the walk needs 50,001 steps; its budget is 1,800 (ROADMAP item 1)")
+    def test_long_progression(self, capsys):
+        # Roberts' closed form gives g = 50001*100003 - 1
+        code, out, _ = run(capsys, "compute", "100003", "100004", "100005")
+        assert code == 0
+        assert "g     = 5000250002" in out
 
 
 class TestLeastMultiple:
@@ -155,6 +163,13 @@ class TestBench:
     def test_digits_one_exit_1(self, capsys):
         code, _, _ = run(capsys, "bench", "--digits", "1", "--samples", "2")
         assert code == 1
+
+    def test_csv_into_missing_directory_exit_5(self, capsys, tmp_path):
+        code, out, err = run(capsys, "bench", "--digits", "3", "--samples", "2",
+                             "--csv", str(tmp_path / "missing" / "out.csv"))
+        assert code == 5
+        assert out == ""
+        assert err.startswith("I/O error:")
 
     def test_json_summary(self, capsys):
         code, out, _ = run(capsys, "bench", "--digits", "2", "--samples", "3",

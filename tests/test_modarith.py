@@ -1,39 +1,9 @@
-import math
 import random
 
 import pytest
 
-from frobenius3.errors import InvalidInputError, NotInvertibleError, NotPairwiseCoprimeError
-from frobenius3.modarith import Congruence, crt_combine, mod_inverse
-
-
-class TestModInverse:
-    def test_examples(self):
-        assert mod_inverse(4, 7) == 2
-        assert mod_inverse(7001, 9533) == 7338
-        assert 7001 * 7338 % 9533 == 1
-
-    def test_not_invertible_carries_gcd(self):
-        with pytest.raises(NotInvertibleError) as exc:
-            mod_inverse(6, 9)
-        assert exc.value.gcd == 3
-        with pytest.raises(InvalidInputError):
-            mod_inverse(5, 1)
-
-    def test_inverse_property(self):
-        rng = random.Random(7)
-        for _ in range(500):
-            m = rng.randrange(2, 10**30)
-            x = rng.randrange(1, m)
-            if math.gcd(x, m) != 1:
-                continue
-            y = mod_inverse(x, m)
-            assert 1 <= y < m
-            assert x * y % m == 1
-
-    def test_negative_argument(self):
-        y = mod_inverse(-3, 7)
-        assert (-3 * y) % 7 == 1
+from frobenius3.errors import InvalidInputError, NotPairwiseCoprimeError
+from frobenius3.modarith import Congruence, crt_combine
 
 
 class TestCrtCombine:

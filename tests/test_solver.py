@@ -7,7 +7,6 @@ import pytest
 from frobenius3.errors import InvalidInputError, NotPairwiseCoprimeError
 from frobenius3.oracle import oracle_frobenius, oracle_representable
 from frobenius3.solver import (
-    build_congruence_systems,
     frobenius,
     least_multiples_all,
     pair_frobenius,
@@ -89,18 +88,17 @@ class TestLeastMultiplesAll:
 
 
 class TestCongruenceSystems:
+    # each candidate solves its cyclic system: A puts L1, L2, L3 mod a3, a1, a2; B mod a2, a3, a1
     def test_canonicalized_residues_357(self):
-        t = validate_triple(3, 5, 7)
-        certs, _ = least_multiples_all(t)
-        sys_a, sys_b = build_congruence_systems(t, *certs)
-        assert [(c.residue, c.modulus) for c in sys_a] == [(5, 7), (1, 3), (4, 5)]
-        assert [(c.residue, c.modulus) for c in sys_b] == [(2, 5), (3, 7), (2, 3)]
+        r = frobenius(3, 5, 7)
+        assert [c.value for c in r.certificates] == [12, 10, 14]
+        assert [r.candidate_a % m for m in (7, 3, 5)] == [5, 1, 4]
+        assert [r.candidate_b % m for m in (5, 7, 3)] == [2, 3, 2]
 
     def test_canonicalized_residues_579(self):
-        t = validate_triple(5, 7, 9)
-        certs, _ = least_multiples_all(t)
-        sys_a, _ = build_congruence_systems(t, *certs)
-        assert [(c.residue, c.modulus) for c in sys_a] == [(7, 9), (4, 5), (6, 7)]
+        r = frobenius(5, 7, 9)
+        assert [c.value for c in r.certificates] == [25, 14, 27]
+        assert [r.candidate_a % m for m in (9, 5, 7)] == [7, 4, 6]
 
 
 class TestFrobenius:
@@ -165,6 +163,20 @@ class TestResultProperties:
             for g in vals:
                 assert oracle_representable(r.f_pos + g, vals, "positive")
             checked += 1
+
+
+class TestClosedForms:
+    def test_roberts_progressions(self):
+        # Roberts 1956 closed form for (a, a+d, a+2d), checked beyond the oracle's range
+        checked = 0
+        for a in range(5, 2002, 2):
+            for d in {1, 2, a // 3}:
+                if math.gcd(a, d) != 1:
+                    continue
+                want = ((a - 2) // 2 + 1) * a + (d - 1) * (a - 1) - 1
+                assert frobenius(a, a + d, a + 2 * d).g == want
+                checked += 1
+        assert checked == 2662
 
 
 class TestJsonSerialization:

@@ -112,6 +112,18 @@ class TestFindLeastMultiple:
         with pytest.raises(StepBudgetExceeded):
             find_least_multiple(WalkInput(b=10001, a=10000, c=20001))
 
+    def test_pair_sum_closed_form(self):
+        # (A+1)*B = (B-1)*A + 1*(A+B), and no smaller multiple of B is a positive combination
+        checked = 0
+        for a in range(2, 1001):
+            for b in {a - 1, a + 1, 2 * a + 1, 3 * a - 1}:
+                if b < 2 or math.gcd(a, b) != 1:
+                    continue
+                cert, _ = find_least_multiple(WalkInput(b=b, a=a, c=a + b))
+                assert (cert.m, cert.u, cert.w) == (a + 1, b - 1, 1)
+                checked += 1
+        assert checked == 3994
+
     def test_minimality_vs_oracle_small(self):
         for a1, a2, a3 in coprime_triples(30):
             for target, x, y in ((a1, a2, a3), (a2, a1, a3), (a3, a1, a2)):

@@ -5,6 +5,7 @@ invariant violation, 4 verification mismatch, 5 I/O error.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -40,6 +41,7 @@ def parse_bigint(text: str) -> int:
     return int(text)
 
 
+@functools.cache  # built on first use, not at import; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="frob3", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

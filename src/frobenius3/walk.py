@@ -1,10 +1,10 @@
 """Least-multiple walk.
 
 Given pairwise-coprime (a, b, c), find the least multiplier m such that
-m*b = u*a + w*c with u, w >= 1.  The iteration is Euclid-like: it develops
-sequences k_i, p_i, v_i starting from the unique p0 with p0*a = b (mod c)
-and stops at the first index where p_i*a < v_i*b.  Every answer carries
-a certificate whose identity is checked by exact arithmetic.
+m*b = u*a + w*c with u, w >= 1.  A Euclid-like walk (Rodseth's ceiling
+continued fraction) from the p0 with p0*a = b (mod c) develops rows
+(p_i, v_i, q_i = (p_i*a - v_i*b)/c) until q_i < 0; then m = v_i, u = p_i
+and w = -q_i.  Every answer carries a certificate checked by exact arithmetic.
 """
 
 import math
@@ -36,32 +36,29 @@ class WalkStep:
     k: int
     p: int
     v: int
+    q: int
 
 
 @dataclass(frozen=True)
 class WalkTrace:
     """Initialization values and step count of a finished walk.
 
-    The (k_i, p_i, v_i) rows are not stored: `steps` replays the walk from
-    `input` and `p0` when a caller asks for them."""
+    The (k_i, p_i, v_i, q_i) rows are not stored: `steps` replays the walk
+    from `input`, `t0` and `p0` when a caller asks for them."""
 
     input: WalkInput
     t0: int
     p0: int
-    inv_p0: int
     n_steps: int
 
     @property
-    def steps(self) -> tuple[WalkStep, ...]:
-        return tuple(WalkStep(*row) for row in _walk(self.input, self.p0, self.n_steps))
+    def inv_p0(self) -> int:
+        """p0^-1 mod c; v_i = p_i*inv_p0 mod c on every row."""
+        return pow(self.p0, -1, self.input.c)
 
-    def quotient(self, p: int, v: int) -> int:
-        """(p*a - v*b)/c for a trace row; exact by the congruence invariant."""
-        num = p * self.input.a - v * self.input.b
-        q, r = divmod(num, self.input.c)
-        if r != 0:
-            raise InvariantViolation(f"(p*a - v*b) not divisible by c at p={p}, v={v}")
-        return q
+    @property
+    def steps(self) -> tuple[WalkStep, ...]:
+        return tuple(WalkStep(*row) for row in _walk(self.input, self.t0, self.p0, self.n_steps))
 
 
 @dataclass(frozen=True)
@@ -100,28 +97,30 @@ def default_step_budget(c: int) -> int:
     return 100 * c.bit_length() + 100
 
 
-def _walk(inp: WalkInput, p0: int, max_steps: int):
-    """Yield (k_i, p_i, v_i) for i = 1, 2, ... while p*a >= v*b.
+def _walk(inp: WalkInput, t0: int, p0: int, max_steps: int):
+    """Yield (k_i, p_i, v_i, q_i) for i = 1, 2, ... while q >= 0.
 
-    p_i = k_i*p_{i-1} mod p_{i-2} from p_{-1} = c, and v_i = k_i*v_{i-1} - v_{i-2}
-    from v_{-1} = 0, v_0 = 1, so that p_i*a = v_i*b (mod c) throughout.  Equality
-    p*a == v*b would give w = 0, which is not a positive representation, so the
-    walk continues through it.  With a < c the walk stops at p = 1 at the latest
-    (there v*b = a + w*c with v < c); p = 1 without a stop would repeat forever."""
-    a, b = inp.a, inp.b
-    p_prev, p, v_prev, v = inp.c, p0, 0, 1
+    p, v and q = (p*a - v*b)/c each follow x_i = k_i*x_{i-1} - s_i*x_{i-2} from
+    (x_{-1}, x_0) = (c, p0), (0, 1), (a, t0), with k_i = 1 + p_{i-2} // p_{i-1} and
+    s_i = k_i*p_{i-1} // p_{i-2}, so that p_i = k_i*p_{i-1} mod p_{i-2}; s_i is 1 except
+    on a first step with p0 > c.  The stop test q < 0 is p*a < v*b; q == 0 (w = 0)
+    does not stop the walk.  With a < c it stops at p = 1 at the latest (there
+    v*b = a + w*c with v < c); p = 1 without a stop would repeat forever."""
+    p_prev, p, v_prev, v, q_prev, q = inp.c, p0, 0, 1, inp.a, t0
     n = 0
-    while p * a >= v * b:
+    while q >= 0:
         if p == 1:
             raise InvariantViolation(f"walk reached p = 1 without stopping for {inp}")
         if n >= max_steps:
             raise StepBudgetExceeded(
-                f"walk exceeded {max_steps} steps for (b={b}, a={a}, c={inp.c})")
+                f"walk exceeded {max_steps} steps for (b={inp.b}, a={inp.a}, c={inp.c})")
         k = 1 + p_prev // p
-        p_prev, p = p, k * p % p_prev
-        v_prev, v = v, k * v - v_prev
+        s, p_next = divmod(k * p, p_prev)
+        p_prev, p = p, p_next
+        v_prev, v = v, k * v - s * v_prev
+        q_prev, q = q, k * q - s * q_prev
         n += 1
-        yield k, p, v
+        yield k, p, v, q
 
 
 def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]:
@@ -139,18 +138,12 @@ def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]
     p0, rem = divmod(b + c * t0, a)
     if rem != 0:
         raise InvariantViolation(f"(b + c*t0) not divisible by a for {walk_inp}")
-    n, p, v = 0, p0, 1
-    for n, (_, p, v) in enumerate(_walk(walk_inp, p0, default_step_budget(c)), start=1):
+    n, p, v, q = 0, p0, 1, t0
+    for n, (_, p, v, q) in enumerate(_walk(walk_inp, t0, p0, default_step_budget(c)), 1):
         pass
-    u = p
-    w, rem = divmod(v * b - p * a, c)
-    if rem != 0:
-        raise InvariantViolation(f"final quotient not integral for {walk_inp}")
-    if walk_inp is not inp:
-        u, w = w, u
+    u, w = (p, -q) if walk_inp is inp else (-q, p)
     cert = MultipleCertificate(m=v, u=u, w=w, target=b, pair_a=inp.a, pair_c=inp.c)
-    trace = WalkTrace(input=walk_inp, t0=t0, p0=p0, inv_p0=pow(p0, -1, c), n_steps=n)
-    return cert, trace
+    return cert, WalkTrace(input=walk_inp, t0=t0, p0=p0, n_steps=n)
 
 
 def pair_representable(n: int, x: int, y: int) -> bool:
@@ -170,9 +163,8 @@ def pair_representable(n: int, x: int, y: int) -> bool:
 
 def trace_rows(trace: WalkTrace) -> list[tuple[int, int | None, int, int, int]]:
     """Rows (i, k_i, p_i, v_i, (p_i*a - v_i*b)/c), starting at the i=0 row (k=None)."""
-    rows = [(0, None, trace.p0, 1, trace.quotient(trace.p0, 1))]
-    for i, s in enumerate(trace.steps, start=1):
-        rows.append((i, s.k, s.p, s.v, trace.quotient(s.p, s.v)))
+    rows = [(0, None, trace.p0, 1, trace.t0)]
+    rows += ((i, s.k, s.p, s.v, s.q) for i, s in enumerate(trace.steps, start=1))
     return rows
 
 

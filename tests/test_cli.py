@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from frobenius3.cli import main, parse_bigint
+from frobenius3.cli import build_parser, main, parse_bigint
 from frobenius3.errors import InvalidInputError, StepBudgetExceeded
 
 
@@ -180,6 +180,18 @@ class TestBench:
 
 
 class TestUsage:
+    def test_repeated_calls_share_one_parser(self, capsys):
+        code, out, _ = run(capsys, "compute", "3", "5", "7", "--json")
+        assert code == 0
+        assert json.loads(out)["g"] == "4"
+        code, out, _ = run(capsys, "compute", "3", "5", "7")
+        assert code == 0
+        assert out.startswith("input: 3 5 7\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "3", "5"])
+        assert exc.value.code == 1
+        assert build_parser() is build_parser()
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobulate"])

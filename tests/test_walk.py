@@ -79,10 +79,11 @@ class TestWalkStep:
         _, tr = find_least_multiple(WalkInput(b=5, a=3, c=7))
         s = tr.steps[0]
         assert (s.k, s.p, s.v) == (2, 1, 2)
-        # p0 = 7 > c = 3: the first step reduces k*p0 mod c with k = 1
+        # p0 = 7 > c = 3: the first step has k = 1 and subtracts s = 7 // 3 = 2
+        # copies of the (c, 0, a) row, so q_1 = t0 - 2*a = 1 - 4
         _, tr = find_least_multiple(WalkInput(b=11, a=2, c=3))
-        assert tr.p0 == 7
-        assert [(s.k, s.p, s.v) for s in tr.steps] == [(1, 1, 1)]
+        assert (tr.t0, tr.p0) == (1, 7)
+        assert [(s.k, s.p, s.v, s.q) for s in tr.steps] == [(1, 1, 1, -3)]
 
 
 class TestFindLeastMultiple:
@@ -157,11 +158,21 @@ class TestTraceInvariants:
                 assert math.gcd(prev, cur) == 1
 
     def test_congruence_quotient_integral(self):
-        a, b, c = GOLDEN.a, GOLDEN.b, GOLDEN.c
-        _, tr = find_least_multiple(GOLDEN)
-        for s in tr.steps:
-            assert (s.p * a - s.v * b) % c == 0
-            assert s.v == s.p * tr.inv_p0 % c
+        for a1, a2, a3 in coprime_triples(25):
+            for inp in (WalkInput(b=a2, a=a1, c=a3), WalkInput(b=a2, a=a3, c=a1)):
+                cert, tr = find_least_multiple(inp)
+                a, b, c = tr.input.a, tr.input.b, tr.input.c
+                rows = trace_rows(tr)
+                for _, _, p, v, q in rows:
+                    assert p * a - v * b == q * c
+                    assert v == p * tr.inv_p0 % c
+                assert all(q >= 0 for *_, q in rows[:-1])
+                _, _, p, v, q = rows[-1]
+                assert q < 0
+                u, w = (cert.u, cert.w) if cert.pair_a == a else (cert.w, cert.u)
+                assert (cert.m, u, w) == (v, p, -q)
+                assert rows[1:] == [(i, s.k, s.p, s.v, s.q)
+                                    for i, s in enumerate(tr.steps, start=1)]
 
     def test_v_recurrence_cross_check(self):
         # v_1 = k_1 mod c and v_i = (k_i v_{i-1} - v_{i-2}) mod c for i >= 2

@@ -1,7 +1,7 @@
 """Frobenius numbers of three pairwise-coprime generators.
 
-Certified fast path (least-multiple walk + CRT), brute-force oracle,
-benchmark harness, and CLI.
+Certified fast path (least-multiple walk, solutions read off the certificates),
+brute-force oracle, benchmark harness, and CLI.
 """
 
 from .errors import (

@@ -43,7 +43,7 @@ class BenchRecord:
     digits: int
     steps: tuple[int, int, int]
     walk_ms: float
-    crt_ms: float
+    crt_ms: float  # assemble_result and its checks (no CRT); the CSV column keeps its name
     total_ms: float
     triple_digest: str
     triple: tuple[int, int, int]

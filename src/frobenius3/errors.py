@@ -23,7 +23,7 @@ class InvariantViolation(Frobenius3Error, RuntimeError):
 
 
 class StepBudgetExceeded(Frobenius3Error, RuntimeError):
-    """The walk did not terminate within its step budget (diagnostic guard)."""
+    """The walk ran past its step budget, a heuristic bound that valid inputs exceed."""
 
 
 class OracleBoundExceeded(Frobenius3Error, ValueError):

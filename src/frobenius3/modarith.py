@@ -1,7 +1,6 @@
-"""Arbitrary-precision modular arithmetic: CRT.
-
-All functions are pure and operate on Python ints, so thousand-digit
-inputs work unchanged.
+"""Arbitrary-precision CRT on Python ints: a public helper and the tests'
+reference for the two cyclic systems, whose solutions the solver pipeline
+reads off the certificates without calling this module.
 """
 
 import math

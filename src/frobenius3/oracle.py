@@ -1,7 +1,7 @@
 """Brute-force ground truth for small inputs.
 
 Everything here is computed by sieving or exhaustive search and shares no
-logic with the walk/CRT fast path; it exists so that the fast path can be
+logic with the walk/certificate fast path; it exists so that the fast path can be
 validated against an independent reference in tests and `frob3 verify`.
 """
 

@@ -1,21 +1,19 @@
 """Frobenius numbers of three pairwise-coprime generators.
 
-Pipeline: validate the triple, compute the least multiple of each
-generator over the other two (walk module), place the three values into
-the two cyclic congruence systems, solve both by CRT, and take the
-maximum as f_pos (largest integer with no all-positive representation).
+Pipeline: validate the triple, compute the least multiple L_i of each
+generator over the other two (walk module), and read the least solutions
+of two cyclic congruence systems in L1, L2, L3 off the certificates; the
+larger is f_pos (largest integer with no all-positive representation).
 The classical Frobenius number is g = f_pos - (a1 + a2 + a3).
 
 Every result carries the three certificates and the three decompositions
-of f_pos; all identities are re-checked exactly before the result is
-returned.
+of f_pos, all re-checked with exact arithmetic before it is returned.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, InvariantViolation, NotPairwiseCoprimeError
-from .modarith import Congruence, crt_combine
 from .walk import MultipleCertificate, WalkInput, WalkTrace, find_least_multiple, pair_representable
 
 
@@ -107,20 +105,12 @@ def least_multiples_all(t: ValidatedTriple) -> tuple[
     """Least multiple of each generator over the other two, with traces."""
     if t.degenerate:
         raise InvalidInputError("least multiples are only defined for non-degenerate triples")
-    certs, traces = [], []
-    for i in range(3):
-        target = t.generators[i]
-        a, c = (g for j, g in enumerate(t.generators) if j != i)
-        cert, trace = find_least_multiple(WalkInput(b=target, a=a, c=c))
-        certs.append(cert)
-        traces.append(trace)
-    return tuple(certs), tuple(traces)
+    a1, a2, a3 = t.generators
+    return tuple(zip(*(find_least_multiple(WalkInput(b=b, a=a, c=c))
+                       for b, a, c in ((a1, a2, a3), (a2, a1, a3), (a3, a1, a2)))))
 
 
-# modulus paired with each certificate, per system, as (index into generators):
-# the two cyclic residue systems whose CRT solutions are the f_pos candidates.
-# System A: x = L1 mod a3, x = L2 mod a1, x = L3 mod a2.
-# System B: x = L1 mod a2, x = L2 mod a3, x = L3 mod a1.
+# index of the modulus paired with L1, L2, L3 in systems A and B (see assemble_result)
 _SYSTEM_A_MODULI = (2, 0, 1)
 _SYSTEM_B_MODULI = (1, 2, 0)
 
@@ -128,32 +118,41 @@ _SYSTEM_B_MODULI = (1, 2, 0)
 def assemble_result(t: ValidatedTriple,
                     certs: tuple[MultipleCertificate, MultipleCertificate, MultipleCertificate]
                     ) -> FrobeniusResult:
-    """CRT both systems, pick the max, derive g and the decompositions, check everything."""
-    (cand_a, prod_a), (cand_b, prod_b) = (
-        crt_combine([Congruence(cert.value, t.generators[i]) for cert, i in zip(certs, moduli)])
-        for moduli in (_SYSTEM_A_MODULI, _SYSTEM_B_MODULI))
-    modulus = t.a1 * t.a2 * t.a3
-    if prod_a != modulus or prod_b != modulus:
-        raise InvariantViolation("CRT modulus product mismatch")
+    """Read both cyclic systems' least solutions off the certificates; f_pos is the larger.
+
+    System A is x = L1 mod a3, L2 mod a1, L3 mod a2; B is x = L1 mod a2, L2 mod a3, L3 mod a1.
+    Write the certificate of a_i over a_j < a_k as m_i*a_i = u_i*a_j + w_i*a_k.  If e is the
+    coefficient of L_i's modulus a_p in the third certificate, L_i + e*a_p = L_i (mod a_p):
+        A: x = L1 + w2*a3 = L2 + u3*a1 = L3 + u1*a2
+        B: x = L1 + w3*a2 = L2 + w1*a3 = L3 + u2*a1
+    Each system's forms agree by Herzog's relations between the least multiples of a
+    pairwise-coprime, non-degenerate triple (Herzog 1970; Johnson 1960): m1 = u2 + u3 and
+    m2 = u1 + w3 equate A's (L1 + w2*a3 = (u2 + u3)*a1 + w2*a3 = L2 + u3*a1, and so on), m2
+    and m3 = w1 + w2 equate B's.  As m1, m2 < a3 (a least multiplier is below the larger of
+    its pair), w1 < a1 and w2 < a2, so x_A = L1 + w2*a3 and x_B = L2 + w1*a3 are below
+    a3*(a1 + a2) <= a1*a2*a3: x is the least CRT solution, and its decompositions take the
+    e (>= 1) as partner_coeff.  Both facts are checked, not assumed: a certificate with a valid
+    identity but a non-least m fails them (InvariantViolation); passing proves no minimality."""
+    solutions = []
+    for moduli in (_SYSTEM_A_MODULI, _SYSTEM_B_MODULI):
+        decomps = []
+        for i, p in enumerate(moduli):
+            partner, third = t.generators[p], certs[3 - i - p]
+            e = third.u if third.pair_a == partner else third.w
+            decomps.append(Decomposition(certs[i].target, certs[i].m, partner, e))
+        forms = {cert.value + d.partner_coeff * d.partner for cert, d in zip(certs, decomps)}
+        if len(forms) != 1 or not 0 <= min(forms) < t.a1 * t.a2 * t.a3:
+            raise InvariantViolation(f"system forms disagree or exceed a1*a2*a3 for {t.generators}")
+        solutions.append((forms.pop(), tuple(decomps)))
+    (cand_a, decomps_a), (cand_b, decomps_b) = solutions
     f_pos = max(cand_a, cand_b)
     g = f_pos - t.total
     if g < 1:
         raise InvariantViolation(f"f_pos <= a1+a2+a3 for {t.generators}")
-
-    winner = _SYSTEM_A_MODULI if cand_a >= cand_b else _SYSTEM_B_MODULI
-    decomps = []
-    for cert, mod_idx in zip(certs, winner):
-        partner = t.generators[mod_idx]
-        q, rem = divmod(f_pos - cert.value, partner)
-        if rem != 0 or q < 1:
-            raise InvariantViolation(
-                f"decomposition of f_pos={f_pos} via {cert.target} fails: q={q}, rem={rem}")
-        decomps.append(Decomposition(generator=cert.target, multiplier=cert.m,
-                                     partner=partner, partner_coeff=q))
     return FrobeniusResult(
         a1=t.a1, a2=t.a2, a3=t.a3, g=g, f_pos=f_pos,
         candidate_a=cand_a, candidate_b=cand_b,
-        certificates=certs, decompositions=tuple(decomps),
+        certificates=certs, decompositions=decomps_a if cand_a >= cand_b else decomps_b,
     )
 
 

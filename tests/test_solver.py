@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import math
 import random
 
 import pytest
 
-from frobenius3.errors import InvalidInputError, NotPairwiseCoprimeError
+from frobenius3.bench import random_coprime_triple
+from frobenius3.errors import InvalidInputError, InvariantViolation, NotPairwiseCoprimeError
+from frobenius3.modarith import Congruence, crt_combine
 from frobenius3.oracle import oracle_frobenius, oracle_representable
 from frobenius3.solver import (
+    assemble_result,
     frobenius,
     least_multiples_all,
     pair_frobenius,
@@ -99,6 +103,47 @@ class TestCongruenceSystems:
         r = frobenius(5, 7, 9)
         assert [c.value for c in r.certificates] == [25, 14, 27]
         assert [r.candidate_a % m for m in (9, 5, 7)] == [7, 4, 6]
+
+    @staticmethod
+    def crt_candidates(r):
+        # the reference: crt_combine of A (L1, L2, L3 mod a3, a1, a2) and B (mod a2, a3, a1)
+        values = [c.value for c in r.certificates]
+        return tuple(crt_combine([Congruence(v, m) for v, m in zip(values, moduli)])[0]
+                     for moduli in ((r.a3, r.a1, r.a2), (r.a2, r.a3, r.a1)))
+
+    def test_candidates_equal_crt_small(self):
+        checked = 0
+        for a3 in range(4, 31):
+            for a2 in range(3, a3):
+                for a1 in range(2, a2):
+                    if math.gcd(a1, a2) * math.gcd(a1, a3) * math.gcd(a2, a3) != 1:
+                        continue
+                    r = frobenius(a1, a2, a3)
+                    if r.degenerate:
+                        continue
+                    assert (r.candidate_a, r.candidate_b) == self.crt_candidates(r)
+                    checked += 1
+        assert checked == 732
+
+    @pytest.mark.parametrize("digits", [100, 1000])
+    def test_candidates_equal_crt_large(self, digits):
+        rng = random.Random(8)
+        for _ in range(3):
+            r = frobenius(*random_coprime_triple(digits, rng))
+            assert (r.candidate_a, r.candidate_b) == self.crt_candidates(r)
+
+    def test_non_least_certificate_rejected(self):
+        # (m + pair_a, u + target, w) keeps the identity but is not least; a CRT of the
+        # three residues accepts it and gives a wrong f_pos
+        for triple in ((7523, 8231, 9533), (3, 5, 7)):
+            t = validate_triple(*triple)
+            certs, _ = least_multiples_all(t)
+            for pos, c in enumerate(certs):
+                for bad in (dataclasses.replace(c, m=c.m + c.pair_a, u=c.u + c.target),
+                            dataclasses.replace(c, m=c.m + c.pair_c, w=c.w + c.target)):
+                    tampered = certs[:pos] + (bad,) + certs[pos + 1:]
+                    with pytest.raises(InvariantViolation):
+                        assemble_result(t, tampered)
 
 
 class TestFrobenius:

@@ -1,5 +1,6 @@
 """Benchmark harness: random pairwise-coprime triples at a given digit size,
-per-walk step counts and phase timings, CSV and summary reporting.
+the step count of each triple's one walk and phase timings, CSV and summary
+reporting.
 
 Step counts are deterministic given (seed, sample index); wall times are
 reported but never asserted.
@@ -18,8 +19,8 @@ from .walk import pair_representable
 
 RESAMPLE_CAP = 1000
 
-CSV_COLUMNS = ["sample_index", "digits", "steps_L1", "steps_L2", "steps_L3",
-               "steps_total", "walk_ms", "crt_ms", "total_ms", "triple_digest"]
+CSV_COLUMNS = ["sample_index", "digits", "steps", "walk_ms", "assemble_ms", "total_ms",
+               "triple_digest"]
 
 
 @dataclass(frozen=True)
@@ -41,16 +42,12 @@ class BenchConfig:
 class BenchRecord:
     sample_index: int
     digits: int
-    steps: tuple[int, int, int]
+    steps: int  # of the one walk (a2 over (a1, a3)) that gives all three least multiples
     walk_ms: float
-    crt_ms: float  # assemble_result and its checks (no CRT); the CSV column keeps its name
+    assemble_ms: float
     total_ms: float
     triple_digest: str
     triple: tuple[int, int, int]
-
-    @property
-    def steps_total(self) -> int:
-        return sum(self.steps)
 
 
 @dataclass
@@ -59,21 +56,14 @@ class BenchReport:
     records: list[BenchRecord] = field(default_factory=list)
 
     def summary(self) -> dict:
-        per_walk = {}
-        for idx, name in enumerate(("L1", "L2", "L3")):
-            vals = [r.steps[idx] for r in self.records]
-            per_walk[name] = {"mean": statistics.fmean(vals),
-                              "median": statistics.median(vals),
-                              "max": max(vals)}
-        totals = [r.steps_total for r in self.records]
+        steps = [r.steps for r in self.records]
         return {
             "digits": self.config.digits,
             "samples": self.config.samples,
             "seed": self.config.seed,
-            "steps_per_walk": per_walk,
-            "steps_total": {"mean": statistics.fmean(totals),
-                            "median": statistics.median(totals),
-                            "max": max(totals)},
+            "steps": {"mean": statistics.fmean(steps),
+                      "median": statistics.median(steps),
+                      "max": max(steps)},
             "total_ms_mean": statistics.fmean(r.total_ms for r in self.records),
         }
 
@@ -113,7 +103,7 @@ def run_sample(config: BenchConfig, index: int) -> BenchRecord:
     triple = random_coprime_triple(config.digits, rng)
     t_start = time.perf_counter()
     t = validate_triple(*triple)
-    certs, traces = least_multiples_all(t)
+    certs, trace = least_multiples_all(t)
     t_walk = time.perf_counter()
     result = assemble_result(t, certs)
     t_end = time.perf_counter()
@@ -122,9 +112,9 @@ def run_sample(config: BenchConfig, index: int) -> BenchRecord:
     return BenchRecord(
         sample_index=index,
         digits=config.digits,
-        steps=tuple(tr.n_steps for tr in traces),
+        steps=trace.n_steps,
         walk_ms=(t_walk - t_start) * 1e3,
-        crt_ms=(t_end - t_walk) * 1e3,
+        assemble_ms=(t_end - t_walk) * 1e3,
         total_ms=(t_end - t_start) * 1e3,
         triple_digest=digest,
         triple=triple,
@@ -148,8 +138,8 @@ def write_csv(report: BenchReport, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for r in report.records:
-            row = [r.sample_index, r.digits, *r.steps, r.steps_total,
-                   f"{r.walk_ms:.3f}", f"{r.crt_ms:.3f}", f"{r.total_ms:.3f}",
+            row = [r.sample_index, r.digits, r.steps,
+                   f"{r.walk_ms:.3f}", f"{r.assemble_ms:.3f}", f"{r.total_ms:.3f}",
                    r.triple_digest]
             if report.config.dump_full_values:
                 row.append(";".join(str(n) for n in r.triple))
@@ -158,14 +148,11 @@ def write_csv(report: BenchReport, path: str) -> None:
 
 def summary_text(report: BenchReport) -> str:
     s = report.summary()
+    st = s["steps"]
     lines = [
         f"digits={s['digits']}  samples={s['samples']}  seed={s['seed']}",
-        f"{'walk':>6}  {'mean':>8}  {'median':>8}  {'max':>5}",
+        f"{'':>6}  {'mean':>8}  {'median':>8}  {'max':>5}",
+        f"{'steps':>6}  {st['mean']:8.2f}  {st['median']:8.1f}  {st['max']:5d}",
+        f"mean total time: {s['total_ms_mean']:.2f} ms",
     ]
-    for name in ("L1", "L2", "L3"):
-        w = s["steps_per_walk"][name]
-        lines.append(f"{name:>6}  {w['mean']:8.2f}  {w['median']:8.1f}  {w['max']:5d}")
-    tot = s["steps_total"]
-    lines.append(f"{'total':>6}  {tot['mean']:8.2f}  {tot['median']:8.1f}  {tot['max']:5d}")
-    lines.append(f"mean total time: {s['total_ms_mean']:.2f} ms")
     return "\n".join(lines)

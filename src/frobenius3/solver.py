@@ -1,13 +1,16 @@
 """Frobenius numbers of three pairwise-coprime generators.
 
-Pipeline: validate the triple, compute the least multiple L_i of each
-generator over the other two (walk module), and read the least solutions
-of two cyclic congruence systems in L1, L2, L3 off the certificates; the
-larger is f_pos (largest integer with no all-positive representation).
-The classical Frobenius number is g = f_pos - (a1 + a2 + a3).
+Pipeline: validate the triple, read the least multiple L_i of each generator
+over the other two off the last two rows of one walk (walk module), prove
+them least, and read the least solutions of two cyclic congruence systems in
+L1, L2, L3 off the certificates; the larger is f_pos (largest integer with no
+all-positive representation).  The classical Frobenius number is
+g = f_pos - (a1 + a2 + a3).
 
-Every result carries the three certificates and the three decompositions
-of f_pos, all re-checked with exact arithmetic before it is returned.
+Every result carries the three certificates and the three decompositions of
+f_pos.  The certificate identities are checked with exact arithmetic, and
+Herzog's relations with the 2x2-minor check prove the multiples least before
+a result is returned (assemble_result).
 """
 
 import math
@@ -100,59 +103,74 @@ def pair_frobenius(x: int, y: int) -> int:
 
 
 def least_multiples_all(t: ValidatedTriple) -> tuple[
-        tuple[MultipleCertificate, MultipleCertificate, MultipleCertificate],
-        tuple[WalkTrace, WalkTrace, WalkTrace]]:
-    """Least multiple of each generator over the other two, with traces."""
+        tuple[MultipleCertificate, MultipleCertificate, MultipleCertificate], WalkTrace]:
+    """Least multiple of each generator over the other two, from one walk, with its trace.
+
+    The walk of a2 over (a1, a3) has rows p_i*a1 - v_i*a2 = q_i*a3 and stops at row n
+    with q_n < 0 <= q_{n-1}.  Its last two rows hold all three certificates:
+        a1 over (a2, a3), row n-1:        p_{n-1}*a1 = v_{n-1}*a2 + q_{n-1}*a3
+        a2 over (a1, a3), row n:          v_n*a2 = p_n*a1 + (-q_n)*a3
+        a3 over (a1, a2), their difference:
+            (q_{n-1} - q_n)*a3 = (p_{n-1} - p_n)*a1 + (v_n - v_{n-1})*a2
+    (Rodseth 1978 reads g off the same two rows.)  assemble_result proves them least."""
     if t.degenerate:
         raise InvalidInputError("least multiples are only defined for non-degenerate triples")
     a1, a2, a3 = t.generators
-    return tuple(zip(*(find_least_multiple(WalkInput(b=b, a=a, c=c))
-                       for b, a, c in ((a1, a2, a3), (a2, a1, a3), (a3, a1, a2)))))
-
-
-# index of the modulus paired with L1, L2, L3 in systems A and B (see assemble_result)
-_SYSTEM_A_MODULI = (2, 0, 1)
-_SYSTEM_B_MODULI = (1, 2, 0)
+    c2, trace = find_least_multiple(WalkInput(b=a2, a=a1, c=a3))
+    p, v, q = trace.penultimate
+    c1 = MultipleCertificate(m=p, u=v, w=q, target=a1, pair_a=a2, pair_c=a3)
+    c3 = MultipleCertificate(m=q + c2.w, u=p - c2.u, w=c2.m - v, target=a3, pair_a=a1, pair_c=a2)
+    return (c1, c2, c3), trace
 
 
 def assemble_result(t: ValidatedTriple,
                     certs: tuple[MultipleCertificate, MultipleCertificate, MultipleCertificate]
                     ) -> FrobeniusResult:
-    """Read both cyclic systems' least solutions off the certificates; f_pos is the larger.
+    """Prove the certificates least, then read both cyclic systems' least solutions off them.
 
-    System A is x = L1 mod a3, L2 mod a1, L3 mod a2; B is x = L1 mod a2, L2 mod a3, L3 mod a1.
-    Write the certificate of a_i over a_j < a_k as m_i*a_i = u_i*a_j + w_i*a_k.  If e is the
-    coefficient of L_i's modulus a_p in the third certificate, L_i + e*a_p = L_i (mod a_p):
-        A: x = L1 + w2*a3 = L2 + u3*a1 = L3 + u1*a2
-        B: x = L1 + w3*a2 = L2 + w1*a3 = L3 + u2*a1
-    Each system's forms agree by Herzog's relations between the least multiples of a
-    pairwise-coprime, non-degenerate triple (Herzog 1970; Johnson 1960): m1 = u2 + u3 and
-    m2 = u1 + w3 equate A's (L1 + w2*a3 = (u2 + u3)*a1 + w2*a3 = L2 + u3*a1, and so on), m2
-    and m3 = w1 + w2 equate B's.  As m1, m2 < a3 (a least multiplier is below the larger of
-    its pair), w1 < a1 and w2 < a2, so x_A = L1 + w2*a3 and x_B = L2 + w1*a3 are below
-    a3*(a1 + a2) <= a1*a2*a3: x is the least CRT solution, and its decompositions take the
-    e (>= 1) as partner_coeff.  Both facts are checked, not assumed: a certificate with a valid
-    identity but a non-least m fails them (InvariantViolation); passing proves no minimality."""
-    solutions = []
-    for moduli in (_SYSTEM_A_MODULI, _SYSTEM_B_MODULI):
-        decomps = []
-        for i, p in enumerate(moduli):
-            partner, third = t.generators[p], certs[3 - i - p]
-            e = third.u if third.pair_a == partner else third.w
-            decomps.append(Decomposition(certs[i].target, certs[i].m, partner, e))
-        forms = {cert.value + d.partner_coeff * d.partner for cert, d in zip(certs, decomps)}
-        if len(forms) != 1 or not 0 <= min(forms) < t.a1 * t.a2 * t.a3:
-            raise InvariantViolation(f"system forms disagree or exceed a1*a2*a3 for {t.generators}")
-        solutions.append((forms.pop(), tuple(decomps)))
-    (cand_a, decomps_a), (cand_b, decomps_b) = solutions
+    certs are the certificates of a1, a2, a3 in that order, each over its pair in ascending
+    order: m1*a1 = u1*a2 + w1*a3, m2*a2 = u2*a1 + w2*a3, m3*a3 = u3*a1 + w3*a2, all m, u,
+    w >= 1.  As relation vectors (r.a = 0 for a = (a1, a2, a3)) they are r1 = (m1, -u1, -w1),
+    r2 = (-u2, m2, -w2) and r3 = (-u3, -w3, m3).  The check, InvariantViolation otherwise:
+      - r1 + r2 + r3 = 0, Herzog's relations m1 = u2 + u3, m2 = u1 + w3, m3 = w1 + w2
+        (Herzog 1970; Johnson 1960);
+      - r1 x r2 = (u1*w2 + w1*m2, w1*u2 + m1*w2, m1*m2 - u1*u2) = a.
+    Passing proves each m least:
+      1. The relations of the primitive vector a form a rank-2 lattice whose bases have
+         cross product +-a, and a sublattice of index d has +-d*a; so r1 x r2 = a makes
+         (r1, r2) a basis.
+      2. Any certificate of a1 is a relation (m', -u', -w') with m', u', w' >= 1; write it
+         alpha*r1 + beta*r2.  If beta <= 0, then w' = alpha*w1 + beta*w2 >= 1 forces
+         alpha >= 1, and m' = alpha*m1 - beta*u2 >= m1.  If alpha <= 0 < beta, its second
+         coordinate -alpha*u1 + beta*m2 is positive, not -u'.  If alpha, beta >= 1, it is
+         (alpha - beta)*r1 - beta*r3: for alpha > beta, m' = (alpha - beta)*m1 + beta*u3 > m1;
+         for alpha <= beta, the second coordinate (beta - alpha)*u1 + beta*w3 is positive.
+      3. r2 x r3 = r3 x r1 = r1 x r2, so (r2, r3) and (r3, r1) are bases with the same sign
+         pattern, and step 2 read cyclically proves m2 and m3 least.
+    By Herzog's relations each system's residues agree on one form (L_i = m_i*a_i):
+        A: x = L1 mod a3, L2 mod a1, L3 mod a2;  x_A = L1 + w2*a3 = L2 + u3*a1 = L3 + u1*a2
+        B: x = L1 mod a2, L2 mod a3, L3 mod a1;  x_B = L1 + w3*a2 = L2 + w1*a3 = L3 + u2*a1
+    m1, m2 < a3, because v = a_j*a_i^-1 mod a3 gives v*a_i = a_j + w*a3 with w >= 1 (a_j < a3);
+    so w1 < a1, w2 < a2, and x_A = L1 + w2*a3 and x_B = L2 + w1*a3 are below
+    a3*(a1 + a2) <= a1*a2*a3: each is its system's least solution.  f_pos is the larger, and
+    the winning system's three forms are its decompositions."""
+    (m1, u1, w1), (m2, u2, w2), (m3, u3, w3) = ((c.m, c.u, c.w) for c in certs)
+    a1, a2, a3 = t.generators
+    if ((m1, m2, m3) != (u2 + u3, u1 + w3, w1 + w2)
+            or (u1 * w2 + w1 * m2, w1 * u2 + m1 * w2, m1 * m2 - u1 * u2) != (a1, a2, a3)):
+        raise InvariantViolation(f"certificates are not the least multiples of {t.generators}")
+    cand_a, cand_b = m1 * a1 + w2 * a3, m2 * a2 + w1 * a3
     f_pos = max(cand_a, cand_b)
     g = f_pos - t.total
     if g < 1:
         raise InvariantViolation(f"f_pos <= a1+a2+a3 for {t.generators}")
+    if cand_a >= cand_b:
+        decomps = ((a1, m1, a3, w2), (a2, m2, a1, u3), (a3, m3, a2, u1))
+    else:
+        decomps = ((a1, m1, a2, w3), (a2, m2, a3, w1), (a3, m3, a1, u2))
     return FrobeniusResult(
-        a1=t.a1, a2=t.a2, a3=t.a3, g=g, f_pos=f_pos,
-        candidate_a=cand_a, candidate_b=cand_b,
-        certificates=certs, decompositions=decomps_a if cand_a >= cand_b else decomps_b,
+        a1=a1, a2=a2, a3=a3, g=g, f_pos=f_pos, candidate_a=cand_a, candidate_b=cand_b,
+        certificates=certs, decompositions=tuple(Decomposition(*d) for d in decomps),
     )
 
 

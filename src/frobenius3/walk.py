@@ -5,6 +5,8 @@ m*b = u*a + w*c with u, w >= 1.  A Euclid-like walk (Rodseth's ceiling
 continued fraction) from the p0 with p0*a = b (mod c) develops rows
 (p_i, v_i, q_i = (p_i*a - v_i*b)/c) until q_i < 0; then m = v_i, u = p_i
 and w = -q_i.  Every answer carries a certificate checked by exact arithmetic.
+The trace keeps the row before the last; solver.least_multiples_all reads the
+least multiples of a and c off the two rows.
 """
 
 import math
@@ -41,15 +43,17 @@ class WalkStep:
 
 @dataclass(frozen=True)
 class WalkTrace:
-    """Initialization values and step count of a finished walk.
+    """Initialization values, step count and next-to-last row of a finished walk.
 
-    The (k_i, p_i, v_i, q_i) rows are not stored: `steps` replays the walk
-    from `input`, `t0` and `p0` when a caller asks for them."""
+    `penultimate` is the (p, v, q) of row n_steps - 1, the last row with q >= 0
+    (row 0 is (p0, 1, t0)).  The other (k_i, p_i, v_i, q_i) rows are not stored:
+    `steps` replays the walk from `input`, `t0` and `p0` when a caller asks for them."""
 
     input: WalkInput
     t0: int
     p0: int
     n_steps: int
+    penultimate: tuple[int, int, int]
 
     @property
     def inv_p0(self) -> int:
@@ -63,10 +67,12 @@ class WalkTrace:
 
 @dataclass(frozen=True)
 class MultipleCertificate:
-    """Witness that m*target = u*pair_a + w*pair_c with u, w >= 1 and m least.
+    """Witness that m*target = u*pair_a + w*pair_c with u, w >= 1.
 
-    The identity is re-checked with exact arithmetic at construction;
-    minimality is established elsewhere (oracle cross-validation).
+    The identity is re-checked with exact arithmetic at construction.  The
+    three certificates of a triple are proved least by solver.assemble_result's
+    relation and minor check; a lone certificate (frob3 least-multiple) is not
+    proved least.
     """
 
     m: int
@@ -138,12 +144,14 @@ def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]
     p0, rem = divmod(b + c * t0, a)
     if rem != 0:
         raise InvariantViolation(f"(b + c*t0) not divisible by a for {walk_inp}")
-    n, p, v, q = 0, p0, 1, t0
-    for n, (_, p, v, q) in enumerate(_walk(walk_inp, t0, p0, default_step_budget(c)), 1):
-        pass
+    # row 0 is (p0, 1, t0) with t0 >= 1 (a does not divide b): the walk takes a step
+    prev = last = (None, p0, 1, t0)
+    for n, step in enumerate(_walk(walk_inp, t0, p0, default_step_budget(c)), 1):
+        prev, last = last, step
+    _, p, v, q = last
     u, w = (p, -q) if walk_inp is inp else (-q, p)
     cert = MultipleCertificate(m=v, u=u, w=w, target=b, pair_a=inp.a, pair_c=inp.c)
-    return cert, WalkTrace(input=walk_inp, t0=t0, p0=p0, n_steps=n)
+    return cert, WalkTrace(input=walk_inp, t0=t0, p0=p0, n_steps=n, penultimate=prev[1:])
 
 
 def pair_representable(n: int, x: int, y: int) -> bool:

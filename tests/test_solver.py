@@ -1,14 +1,16 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
 
 import pytest
 
+from frobenius3 import solver
 from frobenius3.bench import random_coprime_triple
 from frobenius3.errors import InvalidInputError, InvariantViolation, NotPairwiseCoprimeError
 from frobenius3.modarith import Congruence, crt_combine
-from frobenius3.oracle import oracle_frobenius, oracle_representable
+from frobenius3.oracle import oracle_frobenius, oracle_least_multiple, oracle_representable
 from frobenius3.solver import (
     assemble_result,
     frobenius,
@@ -17,6 +19,7 @@ from frobenius3.solver import (
     result_to_json,
     validate_triple,
 )
+from frobenius3.walk import MultipleCertificate, WalkInput
 
 
 class TestValidateTriple:
@@ -69,9 +72,11 @@ class TestPairFrobenius:
 
 class TestLeastMultiplesAll:
     def test_small_values(self):
-        certs, traces = least_multiples_all(validate_triple(3, 5, 7))
+        certs, trace = least_multiples_all(validate_triple(3, 5, 7))
         assert [c.value for c in certs] == [12, 10, 14]
-        assert len(traces) == 3
+        # the one walk, 5 over (3, 7): row 0 is (p, v, q) = (4, 1, 1), row 1 is (1, 2, -1)
+        assert trace.input == WalkInput(b=5, a=3, c=7)
+        assert (trace.n_steps, trace.penultimate) == (1, (4, 1, 1))
         certs, _ = least_multiples_all(validate_triple(5, 7, 9))
         assert [c.value for c in certs] == [25, 14, 27]
 
@@ -146,6 +151,43 @@ class TestCongruenceSystems:
                         assemble_result(t, tampered)
 
 
+class TestMinimalityCheck:
+    @staticmethod
+    def all_certificates(target, x, y, m_max):
+        """Every (m, u, w) with m*target = u*x + w*y, u, w >= 1 and m <= m_max, by search."""
+        return [MultipleCertificate(m, u, (m * target - u * x) // y, target, x, y)
+                for m in range(1, m_max + 1)
+                for u in range(1, (m * target - y) // x + 1)
+                if (m * target - u * x) % y == 0]
+
+    def test_only_least_multiples_pass(self):
+        # every combination of certificates with m <= 2*a3 (84,798 for the 11 triples with
+        # a3 <= 10); the check must accept only the least multiples.  Some combinations pass
+        # Herzog's relations and only the minors reject them: for (3, 4, 5), m = (3, 4, 3)
+        # with (u, w) = (1, 1), (2, 2), (1, 3) has minors (6, 8, 10)
+        triples = 0
+        for a3 in range(4, 11):
+            for a1, a2 in itertools.combinations(range(2, a3), 2):
+                if math.gcd(a1, a2) * math.gcd(a1, a3) * math.gcd(a2, a3) != 1:
+                    continue
+                t = validate_triple(a1, a2, a3)
+                if t.degenerate:
+                    continue
+                roles = ((a1, a2, a3), (a2, a1, a3), (a3, a1, a2))
+                least = tuple(oracle_least_multiple(b, (x, y)).m for b, x, y in roles)
+                candidates = [self.all_certificates(b, x, y, 2 * a3) for b, x, y in roles]
+                accepted = []
+                for certs in itertools.product(*candidates):
+                    try:
+                        assemble_result(t, certs)
+                    except InvariantViolation:
+                        continue
+                    accepted.append(tuple(c.m for c in certs))
+                assert accepted == [least], (a1, a2, a3)
+                triples += 1
+        assert triples == 11
+
+
 class TestFrobenius:
     def test_357(self):
         r = frobenius(3, 5, 7)
@@ -181,6 +223,16 @@ class TestFrobenius:
         with pytest.raises(NotPairwiseCoprimeError):
             frobenius(4, 6, 9)
 
+    def test_one_walk_per_triple(self, monkeypatch):
+        calls = []
+        walk = solver.find_least_multiple
+        monkeypatch.setattr(solver, "find_least_multiple", lambda inp: calls.append(inp) or walk(inp))
+        for triple, walks in (((3, 5, 7), 1), ((3, 5, 8), 0), ((7523, 8231, 9533), 1),
+                              ((100003, 100004, 100005), 1)):
+            calls.clear()
+            frobenius(*triple)
+            assert len(calls) == walks, triple
+
 
 class TestResultProperties:
     def test_random_small_triples_full_invariants(self):
@@ -214,14 +266,15 @@ class TestClosedForms:
     def test_roberts_progressions(self):
         # Roberts 1956 closed form for (a, a+d, a+2d), checked beyond the oracle's range
         checked = 0
-        for a in range(5, 2002, 2):
-            for d in {1, 2, a // 3}:
-                if math.gcd(a, d) != 1:
-                    continue
-                want = ((a - 2) // 2 + 1) * a + (d - 1) * (a - 1) - 1
-                assert frobenius(a, a + d, a + 2 * d).g == want
-                checked += 1
-        assert checked == 2662
+        progressions = [(a, d) for a in range(5, 2002, 2) for d in {1, 2, a // 3}]
+        progressions += [(10**29 + 3, 98765), (10**99 + 1, (10**99 + 1) // 3)]
+        for a, d in progressions:
+            if math.gcd(a, d) != 1:
+                continue
+            want = ((a - 2) // 2 + 1) * a + (d - 1) * (a - 1) - 1
+            assert frobenius(a, a + d, a + 2 * d).g == want
+            checked += 1
+        assert checked == 2664
 
 
 class TestJsonSerialization:

@@ -169,6 +169,7 @@ class TestTraceInvariants:
                 assert all(q >= 0 for *_, q in rows[:-1])
                 _, _, p, v, q = rows[-1]
                 assert q < 0
+                assert tr.penultimate == rows[-2][2:]
                 u, w = (cert.u, cert.w) if cert.pair_a == a else (cert.w, cert.u)
                 assert (cert.m, u, w) == (v, p, -q)
                 assert rows[1:] == [(i, s.k, s.p, s.v, s.q)

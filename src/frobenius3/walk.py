@@ -3,8 +3,9 @@
 Given pairwise-coprime (a, b, c), find the least multiplier m such that
 m*b = u*a + w*c with u, w >= 1.  A Euclid-like walk (Rodseth's ceiling
 continued fraction) from the p0 with p0*a = b (mod c) develops rows
-(p_i, v_i, q_i = (p_i*a - v_i*b)/c) until q_i < 0; then m = v_i, u = p_i
-and w = -q_i.  Every answer carries a certificate checked by exact arithmetic.
+(p_i, v_i, q_i = (p_i*a - v_i*b)/c) on the three-term recurrence
+x_i = k_i*x_{i-1} - x_{i-2} until q_i < 0; then m = v_i, u = p_i and w = -q_i.
+Every answer carries a certificate checked by exact arithmetic.
 The trace keeps the row before the last; solver.least_multiples_all reads the
 least multiples of a and c off the two rows.
 """
@@ -99,20 +100,26 @@ class MultipleCertificate:
 
 def default_step_budget(c: int) -> int:
     # A heuristic, not a proven bound: valid inputs with long runs of k = 2
-    # steps exceed it (ROADMAP item 1 replaces it with a provable bound).
+    # steps exceed it (ROADMAP item 2 replaces it with a provable bound).
     return 100 * c.bit_length() + 100
 
 
 def _walk(inp: WalkInput, t0: int, p0: int, max_steps: int):
     """Yield (k_i, p_i, v_i, q_i) for i = 1, 2, ... while q >= 0.
 
-    p, v and q = (p*a - v*b)/c each follow x_i = k_i*x_{i-1} - s_i*x_{i-2} from
-    (x_{-1}, x_0) = (c, p0), (0, 1), (a, t0), with k_i = 1 + p_{i-2} // p_{i-1} and
-    s_i = k_i*p_{i-1} // p_{i-2}, so that p_i = k_i*p_{i-1} mod p_{i-2}; s_i is 1 except
-    on a first step with p0 > c.  The stop test q < 0 is p*a < v*b; q == 0 (w = 0)
-    does not stop the walk.  With a < c it stops at p = 1 at the latest (there
-    v*b = a + w*c with v < c); p = 1 without a stop would repeat forever."""
-    p_prev, p, v_prev, v, q_prev, q = inp.c, p0, 0, 1, inp.a, t0
+    p, v and q = (p*a - v*b)/c each follow x_i = k_i*x_{i-1} - x_{i-2} from
+    (x_{-1}, x_0) = (s*c, p0), (0, 1), (s*a, t0), with k_i = 1 + p_{i-2} // p_{i-1}
+    and row -1 scaled once by s = max(1, p0 // c).  This is Rodseth's
+    p_i = k_i*p_{i-1} mod p_{i-2} with p_{-1} = c: while p_{i-1} < p_{i-2},
+    k_i*p_{i-1} lies in (p_{i-2}, p_{i-2} + p_{i-1}], below 2*p_{i-2}, so one
+    subtraction of p_{i-2} leaves the remainder.  That holds on every step after
+    the first, and on the first when p0 < c.  When p0 > c, s*c < p0 (p0 is prime
+    to c), so k_1 = 1 and row 1 is (p0 - s*c, 1, t0 - s*a) with p0 - s*c = p0 mod c.
+    The stop test q < 0 is p*a < v*b; q == 0 (w = 0) does not stop the walk.
+    With a < c it stops at p = 1 at the latest (there v*b = a + w*c with v < c);
+    p = 1 without a stop would repeat forever."""
+    s = p0 // inp.c or 1
+    p_prev, p, v_prev, v, q_prev, q = s * inp.c, p0, 0, 1, s * inp.a, t0
     n = 0
     while q >= 0:
         if p == 1:
@@ -121,10 +128,9 @@ def _walk(inp: WalkInput, t0: int, p0: int, max_steps: int):
             raise StepBudgetExceeded(
                 f"walk exceeded {max_steps} steps for (b={inp.b}, a={inp.a}, c={inp.c})")
         k = 1 + p_prev // p
-        s, p_next = divmod(k * p, p_prev)
-        p_prev, p = p, p_next
-        v_prev, v = v, k * v - s * v_prev
-        q_prev, q = q, k * q - s * q_prev
+        p_prev, p = p, k * p - p_prev
+        v_prev, v = v, k * v - v_prev
+        q_prev, q = q, k * q - q_prev
         n += 1
         yield k, p, v, q
 

@@ -22,6 +22,12 @@ from frobenius3.solver import (
 from frobenius3.walk import MultipleCertificate, WalkInput
 
 
+def assert_davison_sylvester(r):
+    # Davison 1994 bounds g below; g(a1, a2) = a1*a2 - a1 - a2 (Sylvester) bounds it above
+    a1, a2, a3 = r.a1, r.a2, r.a3
+    assert math.isqrt(3 * a1 * a2 * a3) - a1 - a2 - a3 <= r.g <= a1 * a2 - a1 - a2
+
+
 class TestValidateTriple:
     def test_sorts(self):
         t = validate_triple(7, 5, 3)
@@ -136,6 +142,7 @@ class TestCongruenceSystems:
         for _ in range(3):
             r = frobenius(*random_coprime_triple(digits, rng))
             assert (r.candidate_a, r.candidate_b) == self.crt_candidates(r)
+            assert_davison_sylvester(r)
 
     def test_non_least_certificate_rejected(self):
         # (m + pair_a, u + target, w) keeps the identity but is not least; a CRT of the
@@ -246,6 +253,7 @@ class TestResultProperties:
             r = frobenius(a1, a2, a3)
             assert r.f_pos - r.g == a1 + a2 + a3
             assert r.f_pos > a1 + a2 + a3
+            assert_davison_sylvester(r)
             if r.degenerate:
                 checked += 1
                 continue

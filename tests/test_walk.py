@@ -79,8 +79,8 @@ class TestWalkStep:
         _, tr = find_least_multiple(WalkInput(b=5, a=3, c=7))
         s = tr.steps[0]
         assert (s.k, s.p, s.v) == (2, 1, 2)
-        # p0 = 7 > c = 3: the first step has k = 1 and subtracts s = 7 // 3 = 2
-        # copies of the (c, 0, a) row, so q_1 = t0 - 2*a = 1 - 4
+        # p0 = 7 > c = 3: the walk starts from row -1 scaled by p0 // c = 2, (6, 0, 4),
+        # so the first step has k = 1 and q_1 = t0 - 2*a = 1 - 4
         _, tr = find_least_multiple(WalkInput(b=11, a=2, c=3))
         assert (tr.t0, tr.p0) == (1, 7)
         assert [(s.k, s.p, s.v, s.q) for s in tr.steps] == [(1, 1, 1, -3)]
@@ -158,14 +158,22 @@ class TestTraceInvariants:
                 assert math.gcd(prev, cur) == 1
 
     def test_congruence_quotient_integral(self):
+        # of the 619 walks of b = a3 over (a1, a2), 198 have p0 > c and 16 have p0 // c >= 2
+        scaled_starts = 0
         for a1, a2, a3 in coprime_triples(25):
-            for inp in (WalkInput(b=a2, a=a1, c=a3), WalkInput(b=a2, a=a3, c=a1)):
+            for inp in (WalkInput(b=a2, a=a1, c=a3), WalkInput(b=a2, a=a3, c=a1),
+                        WalkInput(b=a3, a=a1, c=a2)):
                 cert, tr = find_least_multiple(inp)
                 a, b, c = tr.input.a, tr.input.b, tr.input.c
+                scaled_starts += tr.p0 // c >= 2
                 rows = trace_rows(tr)
                 for _, _, p, v, q in rows:
                     assert p * a - v * b == q * c
                     assert v == p * tr.inv_p0 % c
+                # Rodseth: p_i = k_i*p_{i-1} mod p_{i-2}, with p_{-1} = c
+                ps = [c] + [p for _, _, p, _, _ in rows]
+                for (_, k, *_), p_2, p_1, p in zip(rows[1:], ps, ps[1:], ps[2:]):
+                    assert p == k * p_1 % p_2
                 assert all(q >= 0 for *_, q in rows[:-1])
                 _, _, p, v, q = rows[-1]
                 assert q < 0
@@ -174,6 +182,7 @@ class TestTraceInvariants:
                 assert (cert.m, u, w) == (v, p, -q)
                 assert rows[1:] == [(i, s.k, s.p, s.v, s.q)
                                     for i, s in enumerate(tr.steps, start=1)]
+        assert scaled_starts > 0
 
     def test_v_recurrence_cross_check(self):
         # v_1 = k_1 mod c and v_i = (k_i v_{i-1} - v_{i-2}) mod c for i >= 2

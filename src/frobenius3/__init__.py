@@ -19,7 +19,6 @@ from .solver import (
     FrobeniusResult,
     ValidatedTriple,
     frobenius,
-    pair_frobenius,
     result_to_json,
     validate_triple,
 )
@@ -36,8 +35,8 @@ __all__ = [
     "OracleBoundExceeded", "StepBudgetExceeded", "TripleGenerationError",
     "Congruence", "crt_combine",
     "oracle_frobenius", "oracle_least_multiple", "oracle_representable",
-    "FrobeniusResult", "ValidatedTriple", "frobenius", "pair_frobenius",
-    "result_to_json", "validate_triple",
+    "FrobeniusResult", "ValidatedTriple", "frobenius", "result_to_json",
+    "validate_triple",
     "MultipleCertificate", "WalkInput", "WalkTrace", "find_least_multiple",
     "pair_representable",
 ]

@@ -7,7 +7,6 @@ reported but never asserted.
 """
 
 import csv
-import math
 import random
 import statistics
 import time
@@ -15,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidInputError, TripleGenerationError
 from .solver import assemble_result, least_multiples_all, validate_triple
-from .walk import pair_representable
 
 RESAMPLE_CAP = 1000
 
@@ -81,15 +79,12 @@ def random_coprime_triple(digits: int, rng: random.Random) -> tuple[int, int, in
         raise InvalidInputError("digits must be >= 2")
     lo, hi = 10 ** (digits - 1), 10 ** digits
     for _ in range(RESAMPLE_CAP):
-        vals = sorted(rng.randrange(lo, hi) | 1 for _ in range(3))
-        a1, a2, a3 = vals
-        if len({a1, a2, a3}) != 3:
+        try:
+            t = validate_triple(*(rng.randrange(lo, hi) | 1 for _ in range(3)))
+        except InvalidInputError:
             continue
-        if math.gcd(a1, a2) != 1 or math.gcd(a1, a3) != 1 or math.gcd(a2, a3) != 1:
-            continue
-        if pair_representable(a3, a1, a2):
-            continue
-        return a1, a2, a3
+        if not t.degenerate:
+            return t.generators
     raise TripleGenerationError(f"no valid triple after {RESAMPLE_CAP} resamples")
 
 

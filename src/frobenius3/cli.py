@@ -85,11 +85,10 @@ def cmd_compute(args) -> int:
     if res.degenerate:
         print(f"note: {res.a3} is a positive combination of {res.a1} and {res.a2}; "
               f"reduced to the two-generator formula")
-        print(f"g     = {res.g}")
-        print(f"f_pos = {res.f_pos}")
-        return EXIT_OK
     print(f"g     = {res.g}")
     print(f"f_pos = {res.f_pos}")
+    if res.degenerate:
+        return EXIT_OK
     print(f"candidates: A = {res.candidate_a}, B = {res.candidate_b}")
     if args.certificate:
         print("least multiples:")

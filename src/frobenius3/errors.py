@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all frobenius3 modules."""
+"""Exception hierarchy shared by all frobenius3 modules, and the generator check."""
+
+import itertools
+import math
 
 
 class Frobenius3Error(Exception):
@@ -32,3 +35,17 @@ class OracleBoundExceeded(Frobenius3Error, ValueError):
 
 class TripleGenerationError(Frobenius3Error, RuntimeError):
     """Random triple generation exhausted its resampling cap."""
+
+
+def check_generators(*values: int) -> None:
+    """Require every value >= 2 and the values pairwise coprime (equal values share themselves).
+
+    Raises InvalidInputError for the first value below 2, else NotPairwiseCoprimeError for the
+    first pair, in itertools.combinations order, with a common factor."""
+    for v in values:
+        if v < 2:
+            raise InvalidInputError(f"generators must be >= 2, got {v}")
+    for x, y in itertools.combinations(values, 2):
+        g = math.gcd(x, y)
+        if g != 1:
+            raise NotPairwiseCoprimeError(x, y, g)

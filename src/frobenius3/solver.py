@@ -13,10 +13,9 @@ Herzog's relations with the 2x2-minor check prove the multiples least before
 a result is returned (assemble_result).
 """
 
-import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, InvariantViolation, NotPairwiseCoprimeError
+from .errors import InvalidInputError, InvariantViolation, check_generators
 from .walk import MultipleCertificate, WalkInput, WalkTrace, find_least_multiple, pair_representable
 
 
@@ -76,30 +75,11 @@ class FrobeniusResult:
 
 def validate_triple(x1: int, x2: int, x3: int) -> ValidatedTriple:
     """Sort, check pairwise coprimality, and flag a degenerate member."""
-    vals = sorted((x1, x2, x3))
-    for v in vals:
-        if v < 2:
-            raise InvalidInputError(f"generators must be >= 2, got {v}")
-    if len(set(vals)) != 3:
-        raise InvalidInputError(f"generators must be distinct, got {tuple(vals)}")
-    a1, a2, a3 = vals
-    for x, y in ((a1, a2), (a1, a3), (a2, a3)):
-        g = math.gcd(x, y)
-        if g != 1:
-            raise NotPairwiseCoprimeError(x, y, g)
+    a1, a2, a3 = sorted((x1, x2, x3))
+    check_generators(a1, a2, a3)
     # a1, a2 can never be positive combinations of the two larger ones
     degenerate = 2 if pair_representable(a3, a1, a2) else None
     return ValidatedTriple(a1, a2, a3, degenerate_member=degenerate)
-
-
-def pair_frobenius(x: int, y: int) -> int:
-    """Classical two-generator Frobenius number x*y - x - y (Sylvester)."""
-    if x < 2 or y < 2:
-        raise InvalidInputError("generators must be >= 2")
-    g = math.gcd(x, y)
-    if g != 1:
-        raise NotPairwiseCoprimeError(x, y, g)
-    return x * y - x - y
 
 
 def least_multiples_all(t: ValidatedTriple) -> tuple[
@@ -179,8 +159,8 @@ def frobenius(x1: int, x2: int, x3: int) -> FrobeniusResult:
     otherwise run the certified three-generator computation."""
     t = validate_triple(x1, x2, x3)
     if t.degenerate:
-        # a3 is a positive combination of (a1, a2): the semigroup is unchanged
-        g = pair_frobenius(t.a1, t.a2)
+        # a3 is a positive combination of (a1, a2): the semigroup is unchanged (Sylvester)
+        g = t.a1 * t.a2 - t.a1 - t.a2
         return FrobeniusResult(a1=t.a1, a2=t.a2, a3=t.a3,
                                g=g, f_pos=g + t.total,
                                degenerate_member=t.degenerate_member)

@@ -2,18 +2,18 @@
 
 Given pairwise-coprime (a, b, c), find the least multiplier m such that
 m*b = u*a + w*c with u, w >= 1.  A Euclid-like walk (Rodseth's ceiling
-continued fraction) from the p0 with p0*a = b (mod c) develops rows
-(p_i, v_i, q_i = (p_i*a - v_i*b)/c) on the three-term recurrence
-x_i = k_i*x_{i-1} - x_{i-2} until q_i < 0; then m = v_i, u = p_i and w = -q_i.
+continued fraction) from the p0 with p0*a = b + t0*c, 1 <= t0 < a,
+develops rows (p_i, v_i, q_i = (p_i*a - v_i*b)/c) on the three-term
+recurrence x_i = k_i*x_{i-1} - x_{i-2} until q_i < 0; then m = v_i,
+u = p_i and w = -q_i.
 Every answer carries a certificate checked by exact arithmetic.
 The trace keeps the row before the last; solver.least_multiples_all reads the
 least multiples of a and c off the two rows.
 """
 
-import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, InvariantViolation, NotPairwiseCoprimeError, StepBudgetExceeded
+from .errors import InvariantViolation, StepBudgetExceeded, check_generators
 
 
 @dataclass(frozen=True)
@@ -25,13 +25,7 @@ class WalkInput:
     c: int
 
     def __post_init__(self):
-        for name, val in (("b", self.b), ("a", self.a), ("c", self.c)):
-            if val < 2:
-                raise InvalidInputError(f"{name} must be >= 2, got {val}")
-        for x, y in ((self.a, self.b), (self.b, self.c), (self.a, self.c)):
-            g = math.gcd(x, y)
-            if g != 1:
-                raise NotPairwiseCoprimeError(x, y, g)
+        check_generators(self.a, self.b, self.c)
 
 
 @dataclass(frozen=True)
@@ -162,11 +156,7 @@ def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]
 
 def pair_representable(n: int, x: int, y: int) -> bool:
     """True iff n = u*x + w*y has a solution with u, w >= 1 (x, y coprime)."""
-    if x < 2 or y < 2:
-        raise InvalidInputError("generators must be >= 2")
-    g = math.gcd(x, y)
-    if g != 1:
-        raise NotPairwiseCoprimeError(x, y, g)
+    check_generators(x, y)
     if n < x + y:
         return False
     u0 = n * pow(x, -1, y) % y

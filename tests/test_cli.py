@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -197,6 +198,23 @@ class TestUsage:
         assert exc.value.code == 1
 
     def test_missing_args(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["compute", "3", "5"])
-        assert exc.value.code == 1
+        for argv in (["compute", "3", "5"], ["least-multiple", "5"], ["verify"],
+                     ["bench", "--digits", "2"], ["compute", "3", "5", "7", "--trace"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1, argv
+
+
+class TestExitCodeContract:
+    # usage errors (exit 1) are TestUsage's, an unwritable --csv (exit 5) TestBench's
+    TOKENS = ("1", "2", "3", "5", "6", "7", "12", "007", "-3", "٣", "x")
+
+    def test_token_sweep_exits_0_or_2(self, capsys):
+        # 1,331 token triples through four command shapes: 5,324 commands, none may raise
+        for x, y, z in itertools.product(self.TOKENS, repeat=3):
+            for argv in (["compute", x, y, z],
+                         ["compute", x, y, z, "--json", "--certificate"],
+                         ["least-multiple", x, "--pair", y, z, "--trace"],
+                         ["least-multiple", x, "--pair", y, z, "--trace", "--json"]):
+                assert main(argv) in (0, 2), argv
+            capsys.readouterr()

@@ -15,11 +15,10 @@ from frobenius3.solver import (
     assemble_result,
     frobenius,
     least_multiples_all,
-    pair_frobenius,
     result_to_json,
     validate_triple,
 )
-from frobenius3.walk import MultipleCertificate, WalkInput
+from frobenius3.walk import MultipleCertificate, WalkInput, pair_representable
 
 
 def assert_davison_sylvester(r):
@@ -48,19 +47,47 @@ class TestValidateTriple:
             validate_triple(1, 3, 5)
 
     def test_rejects_duplicates(self):
-        with pytest.raises(InvalidInputError):
+        # two equal values >= 2 share themselves as a factor
+        with pytest.raises(NotPairwiseCoprimeError) as exc:
             validate_triple(3, 3, 5)
+        assert exc.value.pair == (3, 3)
 
     def test_overall_gcd_one_but_pairwise_common_factor_rejected(self):
         with pytest.raises(NotPairwiseCoprimeError):
             validate_triple(6, 10, 15)
 
 
+class TestGeneratorCheck:
+    def test_matches_brute_force_definition(self):
+        # every tuple over 0..12: raise exactly when the contract is broken, with the same type
+        def expected(values):
+            if any(v < 2 for v in values):
+                return InvalidInputError
+            if any(any(x % d == 0 and y % d == 0 for d in range(2, min(x, y) + 1))
+                   for x, y in itertools.combinations(values, 2)):
+                return NotPairwiseCoprimeError
+            return None
+
+        def raised(call, *args):
+            try:
+                call(*args)
+            except InvalidInputError as exc:
+                return type(exc)
+            return None
+
+        for b, a, c in itertools.product(range(13), repeat=3):
+            want = expected((b, a, c))
+            assert raised(WalkInput, b, a, c) is want, (b, a, c)
+            assert raised(validate_triple, b, a, c) is want, (b, a, c)
+            assert raised(pair_representable, b, a, c) is expected((a, c)), (b, a, c)
+
+
 class TestPairFrobenius:
+    # a degenerate triple (x, y, x + y) reduces to Sylvester's pair formula
     def test_examples(self):
-        assert pair_frobenius(3, 5) == 7
-        assert pair_frobenius(2, 3) == 1
-        assert pair_frobenius(7523, 9533) == 7523 * 9533 - 7523 - 9533
+        assert frobenius(3, 5, 8).g == 7
+        assert frobenius(2, 3, 5).g == 1
+        assert frobenius(7523, 9533, 7523 + 9533).g == 7523 * 9533 - 7523 - 9533
 
     def test_against_scan(self):
         # sieve to x*y confirms Sylvester's value for a couple of pairs
@@ -69,11 +96,11 @@ class TestPairFrobenius:
             for n in range(1, x * y + 1):
                 if (n >= x and n - x in reachable) or (n >= y and n - y in reachable):
                     reachable.add(n)
-            assert pair_frobenius(x, y) == max(set(range(x * y + 1)) - reachable)
+            assert frobenius(x, y, x + y).g == max(set(range(x * y + 1)) - reachable)
 
     def test_non_coprime(self):
         with pytest.raises(NotPairwiseCoprimeError):
-            pair_frobenius(6, 9)
+            frobenius(6, 9, 15)
 
 
 class TestLeastMultiplesAll:

@@ -1,9 +1,9 @@
 """Benchmark harness: random pairwise-coprime triples at a given digit size,
-the step count of each triple's one walk and phase timings, CSV and summary
-reporting.
+the step and iteration counts of each triple's one walk and phase timings, CSV
+and summary reporting.
 
-Step counts are deterministic given (seed, sample index); wall times are
-reported but never asserted.
+Step and iteration counts are deterministic given (seed, sample index); wall
+times are reported but never asserted.
 """
 
 import csv
@@ -18,7 +18,7 @@ from .solver import assemble_result, least_multiples_all, validate_triple
 RESAMPLE_CAP = 1000
 
 CSV_COLUMNS = ["sample_index", "digits", "steps", "walk_ms", "assemble_ms", "total_ms",
-               "triple_digest"]
+               "triple_digest", "iterations"]
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class BenchRecord:
     total_ms: float
     triple_digest: str
     triple: tuple[int, int, int]
+    iterations: int  # of the same walk, one per partial quotient (a k = 2 run is one)
 
 
 @dataclass
@@ -54,14 +55,16 @@ class BenchReport:
     records: list[BenchRecord] = field(default_factory=list)
 
     def summary(self) -> dict:
-        steps = [r.steps for r in self.records]
+        def stats(values):
+            return {"mean": statistics.fmean(values), "median": statistics.median(values),
+                    "max": max(values)}
+
         return {
             "digits": self.config.digits,
             "samples": self.config.samples,
             "seed": self.config.seed,
-            "steps": {"mean": statistics.fmean(steps),
-                      "median": statistics.median(steps),
-                      "max": max(steps)},
+            "steps": stats([r.steps for r in self.records]),
+            "iterations": stats([r.iterations for r in self.records]),
             "total_ms_mean": statistics.fmean(r.total_ms for r in self.records),
         }
 
@@ -113,6 +116,7 @@ def run_sample(config: BenchConfig, index: int) -> BenchRecord:
         total_ms=(t_end - t_start) * 1e3,
         triple_digest=digest,
         triple=triple,
+        iterations=trace.iterations,
     )
 
 
@@ -135,7 +139,7 @@ def write_csv(report: BenchReport, path: str) -> None:
         for r in report.records:
             row = [r.sample_index, r.digits, r.steps,
                    f"{r.walk_ms:.3f}", f"{r.assemble_ms:.3f}", f"{r.total_ms:.3f}",
-                   r.triple_digest]
+                   r.triple_digest, r.iterations]
             if report.config.dump_full_values:
                 row.append(";".join(str(n) for n in r.triple))
             writer.writerow(row)
@@ -143,11 +147,12 @@ def write_csv(report: BenchReport, path: str) -> None:
 
 def summary_text(report: BenchReport) -> str:
     s = report.summary()
-    st = s["steps"]
     lines = [
         f"digits={s['digits']}  samples={s['samples']}  seed={s['seed']}",
-        f"{'':>6}  {'mean':>8}  {'median':>8}  {'max':>5}",
-        f"{'steps':>6}  {st['mean']:8.2f}  {st['median']:8.1f}  {st['max']:5d}",
-        f"mean total time: {s['total_ms_mean']:.2f} ms",
+        f"{'':>10}  {'mean':>8}  {'median':>8}  {'max':>5}",
     ]
+    for name in ("steps", "iterations"):
+        st = s[name]
+        lines.append(f"{name:>10}  {st['mean']:8.2f}  {st['median']:8.1f}  {st['max']:5d}")
+    lines.append(f"mean total time: {s['total_ms_mean']:.2f} ms")
     return "\n".join(lines)

@@ -16,7 +16,7 @@ a result is returned (assemble_result).
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, InvariantViolation, check_generators
-from .walk import MultipleCertificate, WalkInput, WalkTrace, find_least_multiple, pair_representable
+from .walk import MultipleCertificate, WalkInput, WalkTrace, _representable, find_least_multiple
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def validate_triple(x1: int, x2: int, x3: int) -> ValidatedTriple:
     a1, a2, a3 = sorted((x1, x2, x3))
     check_generators(a1, a2, a3)
     # a1, a2 can never be positive combinations of the two larger ones
-    degenerate = 2 if pair_representable(a3, a1, a2) else None
+    degenerate = 2 if _representable(a3, a1, a2) else None
     return ValidatedTriple(a1, a2, a3, degenerate_member=degenerate)
 
 

@@ -6,6 +6,10 @@ continued fraction) from the p0 with p0*a = b + t0*c, 1 <= t0 < a,
 develops rows (p_i, v_i, q_i = (p_i*a - v_i*b)/c) on the three-term
 recurrence x_i = k_i*x_{i-1} - x_{i-2} until q_i < 0; then m = v_i,
 u = p_i and w = -q_i.
+The walk takes one iteration per partial quotient k_i.  Most steps have k = 2,
+and in a run of them x_i - x_{i-1} is constant, so p, v and q move by fixed
+differences.  One division finds the step where k leaves 2 or q first turns
+negative, and the walk jumps there (_walk gives the argument).
 Every answer carries a certificate checked by exact arithmetic.
 The trace keeps the row before the last; solver.least_multiples_all reads the
 least multiples of a and c off the two rows.
@@ -38,17 +42,21 @@ class WalkStep:
 
 @dataclass(frozen=True)
 class WalkTrace:
-    """Initialization values, step count and next-to-last row of a finished walk.
+    """Initialization values, counts and next-to-last row of a finished walk.
 
     `penultimate` is the (p, v, q) of row n_steps - 1, the last row with q >= 0
-    (row 0 is (p0, 1, t0)).  The other (k_i, p_i, v_i, q_i) rows are not stored:
-    `steps` replays the walk from `input`, `t0` and `p0` when a caller asks for them."""
+    (row 0 is (p0, 1, t0)).  `iterations` counts the walk's partial quotients, one
+    per k = 2 run, and `k2_run_max` is the longest run's step count.  The other
+    (k_i, p_i, v_i, q_i) rows are not stored: `steps` replays the walk from `input`,
+    `t0` and `p0` and expands each run into its rows when a caller asks for them."""
 
     input: WalkInput
     t0: int
     p0: int
     n_steps: int
     penultimate: tuple[int, int, int]
+    iterations: int
+    k2_run_max: int
 
     @property
     def inv_p0(self) -> int:
@@ -57,7 +65,12 @@ class WalkTrace:
 
     @property
     def steps(self) -> tuple[WalkStep, ...]:
-        return tuple(WalkStep(*row) for row in _walk(self.input, self.t0, self.p0, self.n_steps))
+        # an iteration's j rows end at the two it yields; in a run they step by a fixed difference
+        return tuple(
+            WalkStep(k, p + i * (p_prev - p), v - i * (v - v_prev), q + i * (q_prev - q))
+            for k, j, p_prev, p, v_prev, v, q_prev, q
+            in _walk(self.input, self.t0, self.p0, self.n_steps)
+            for i in range(j - 1, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -94,12 +107,13 @@ class MultipleCertificate:
 
 def default_step_budget(c: int) -> int:
     # A heuristic, not a proven bound: valid inputs with long runs of k = 2
-    # steps exceed it (ROADMAP item 2 replaces it with a provable bound).
+    # steps exceed it (ROADMAP item 1 gates its removal).
     return 100 * c.bit_length() + 100
 
 
 def _walk(inp: WalkInput, t0: int, p0: int, max_steps: int):
-    """Yield (k_i, p_i, v_i, q_i) for i = 1, 2, ... while q >= 0.
+    """Yield (k, j, p_{n-1}, p_n, v_{n-1}, v_n, q_{n-1}, q_n) once per partial quotient k,
+    for the j steps it takes, ending at row n, while q >= 0.
 
     p, v and q = (p*a - v*b)/c each follow x_i = k_i*x_{i-1} - x_{i-2} from
     (x_{-1}, x_0) = (s*c, p0), (0, 1), (s*a, t0), with k_i = 1 + p_{i-2} // p_{i-1}
@@ -111,22 +125,40 @@ def _walk(inp: WalkInput, t0: int, p0: int, max_steps: int):
     to c), so k_1 = 1 and row 1 is (p0 - s*c, 1, t0 - s*a) with p0 - s*c = p0 mod c.
     The stop test q < 0 is p*a < v*b; q == 0 (w = 0) does not stop the walk.
     With a < c it stops at p = 1 at the latest (there v*b = a + w*c with v < c);
-    p = 1 without a stop would repeat forever."""
+    p = 1 without a stop would repeat forever.
+
+    A run of k = 2 is crossed with one division.  With k = 2, x_i - x_{i-1} =
+    x_{i-1} - x_{i-2}: while k stays 2, p falls by d = p_{n-1} - p_n, v rises by
+    e = v_n - v_{n-1} and q falls by f = q_{n-1} - q_n on every step.  Step m of the
+    run (from row n) has p_{n+m-2} < 2*p_{n+m-1}, k = 2, exactly when m*d < p_n, so
+    the run lasts j = (p_n - 1) // d steps, and p > 1 on every row but perhaps its
+    last.  When f > 0, q_n - m*f < 0 first at m = q_n // f + 1, where the walk stops.
+    The budget counts steps, not iterations: a walk raises StepBudgetExceeded
+    exactly when one step at a time would have taken more than max_steps."""
     s = p0 // inp.c or 1
     p_prev, p, v_prev, v, q_prev, q = s * inp.c, p0, 0, 1, s * inp.a, t0
     n = 0
     while q >= 0:
         if p == 1:
             raise InvariantViolation(f"walk reached p = 1 without stopping for {inp}")
-        if n >= max_steps:
+        k = 1 + p_prev // p
+        if k == 2:
+            d, e, f = p_prev - p, v - v_prev, q_prev - q
+            j = (p - 1) // d
+            if f > 0:
+                j = min(j, q // f + 1)
+            p_prev, v_prev, q_prev = p - (j - 1) * d, v + (j - 1) * e, q - (j - 1) * f
+            p, v, q = p_prev - d, v_prev + e, q_prev - f
+        else:
+            j = 1
+            p_prev, p = p, k * p - p_prev
+            v_prev, v = v, k * v - v_prev
+            q_prev, q = q, k * q - q_prev
+        n += j
+        if n > max_steps:
             raise StepBudgetExceeded(
                 f"walk exceeded {max_steps} steps for (b={inp.b}, a={inp.a}, c={inp.c})")
-        k = 1 + p_prev // p
-        p_prev, p = p, k * p - p_prev
-        v_prev, v = v, k * v - v_prev
-        q_prev, q = q, k * q - q_prev
-        n += 1
-        yield k, p, v, q
+        yield k, j, p_prev, p, v_prev, v, q_prev, q
 
 
 def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]:
@@ -145,18 +177,27 @@ def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]
     if rem != 0:
         raise InvariantViolation(f"(b + c*t0) not divisible by a for {walk_inp}")
     # row 0 is (p0, 1, t0) with t0 >= 1 (a does not divide b): the walk takes a step
-    prev = last = (None, p0, 1, t0)
-    for n, step in enumerate(_walk(walk_inp, t0, p0, default_step_budget(c)), 1):
-        prev, last = last, step
-    _, p, v, q = last
+    n = iterations = k2_run_max = 0
+    for k, j, p_prev, p, v_prev, v, q_prev, q in _walk(walk_inp, t0, p0, default_step_budget(c)):
+        n += j
+        iterations += 1
+        if k == 2 and j > k2_run_max:
+            k2_run_max = j
     u, w = (p, -q) if walk_inp is inp else (-q, p)
     cert = MultipleCertificate(m=v, u=u, w=w, target=b, pair_a=inp.a, pair_c=inp.c)
-    return cert, WalkTrace(input=walk_inp, t0=t0, p0=p0, n_steps=n, penultimate=prev[1:])
+    return cert, WalkTrace(input=walk_inp, t0=t0, p0=p0, n_steps=n,
+                           penultimate=(p_prev, v_prev, q_prev),
+                           iterations=iterations, k2_run_max=k2_run_max)
 
 
 def pair_representable(n: int, x: int, y: int) -> bool:
     """True iff n = u*x + w*y has a solution with u, w >= 1 (x, y coprime)."""
     check_generators(x, y)
+    return _representable(n, x, y)
+
+
+def _representable(n: int, x: int, y: int) -> bool:
+    """pair_representable for x, y already checked."""
     if n < x + y:
         return False
     u0 = n * pow(x, -1, y) % y

@@ -52,7 +52,7 @@ class TestRunBench:
         r1 = run_bench(cfg)
         r2 = run_bench(cfg)
         assert len(r1.records) == 10
-        assert all(rec.steps >= 1 for rec in r1.records)
+        assert all(1 <= rec.iterations <= rec.steps for rec in r1.records)
         assert ([rec.steps for rec in r1.records]
                 == [rec.steps for rec in r2.records])
         assert ([rec.triple for rec in r1.records]
@@ -61,10 +61,11 @@ class TestRunBench:
     def test_summary_fields(self):
         report = run_bench(BenchConfig(digits=3, samples=5, seed=1))
         s = report.summary()
-        assert set(s["steps"]) == {"mean", "median", "max"}
+        assert set(s["steps"]) == set(s["iterations"]) == {"mean", "median", "max"}
         assert s["steps"]["max"] >= s["steps"]["median"]
         text = summary_text(report)
         assert "digits=3" in text
+        assert text.splitlines()[3].split()[0] == "iterations"
 
     def test_csv(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -74,13 +75,14 @@ class TestRunBench:
             rows = list(csv.reader(fh))
         assert rows[0] == CSV_COLUMNS
         assert len(rows) == 9  # header + one row per sample
-        # rerun: step-count columns are byte-identical, times may differ
+        # rerun: step, digest and iteration columns are byte-identical, times may differ
         report2 = run_bench(BenchConfig(digits=3, samples=8, seed=9))
         write_csv(report2, str(tmp_path / "out2.csv"))
         with open(tmp_path / "out2.csv") as fh:
             rows2 = list(csv.reader(fh))
-        step_cols = slice(0, 3)
-        assert [r[step_cols] for r in rows] == [r[step_cols] for r in rows2]
+        counts = [r[:3] + r[6:] for r in rows]
+        assert counts == [r[:3] + r[6:] for r in rows2]
+        assert all(1 <= int(r[-1]) <= int(r[2]) for r in rows[1:])
 
     def test_full_values_flag(self, tmp_path):
         path = tmp_path / "full.csv"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -33,6 +34,47 @@ def coprime_triples(limit):
             for a3 in range(a2 + 1, limit + 1):
                 if math.gcd(a1, a3) == 1 and math.gcd(a2, a3) == 1:
                     yield a1, a2, a3
+
+
+def reference_walk(inp):
+    """find_least_multiple one step at a time: the plain three-term recurrence and its budget.
+
+    Returns ((m, u, w, t0, p0, n_steps, penultimate), rows) with rows (k_i, p_i, v_i, q_i)."""
+    b, a, c = inp.b, min(inp.a, inp.c), max(inp.a, inp.c)
+    t0 = -b * pow(c, -1, a) % a
+    p0 = (b + c * t0) // a
+    s = p0 // c or 1
+    p_prev, p, v_prev, v, q_prev, q = s * c, p0, 0, 1, s * a, t0
+    rows = []
+    while q >= 0:
+        if p == 1:
+            raise InvariantViolation(inp)
+        if len(rows) >= default_step_budget(c):
+            raise StepBudgetExceeded(inp)
+        k = 1 + p_prev // p
+        p_prev, p = p, k * p - p_prev
+        v_prev, v = v, k * v - v_prev
+        q_prev, q = q, k * q - q_prev
+        rows.append((k, p, v, q))
+    u, w = (p, -q) if inp.a < inp.c else (-q, p)
+    return (v, u, w, t0, p0, len(rows), (p_prev, v_prev, q_prev)), rows
+
+
+def outcome(walk, inp):
+    try:
+        return walk(inp)
+    except (InvariantViolation, StepBudgetExceeded) as exc:
+        return type(exc)
+
+
+def collapsed_walk(inp):
+    cert, tr = find_least_multiple(inp)
+    rows = [(s.k, s.p, s.v, s.q) for s in tr.steps]
+    # iterations: one per k != 2 step and one per maximal run of k = 2 steps
+    runs = [len(list(g)) for k, g in itertools.groupby(r[0] for r in rows) if k == 2]
+    assert tr.iterations == len(rows) - sum(runs) + len(runs)
+    assert tr.k2_run_max == max(runs, default=0)
+    return (cert.m, cert.u, cert.w, tr.t0, tr.p0, tr.n_steps, tr.penultimate), rows
 
 
 class TestWalkInput:
@@ -146,6 +188,47 @@ class TestFindLeastMultiple:
             assert t1 == t2
             assert t1.input.a < t1.input.c
             checked += 1
+
+
+class TestCollapsedRuns:
+    # each k = 2 run is crossed with one division; the result, every row and the budget
+    # must match the walk taken one step at a time
+    def test_matches_reference_small(self):
+        walks = 0
+        for c in range(3, 90):
+            for a in range(2, c):
+                if math.gcd(a, c) != 1:
+                    continue
+                for b in range(2, 90):
+                    if math.gcd(b, a) == 1 and math.gcd(b, c) == 1:
+                        inp = WalkInput(b=b, a=a, c=c)
+                        assert outcome(collapsed_walk, inp) == outcome(reference_walk, inp), inp
+                        walks += 1
+        assert walks == 97428
+
+    def test_matches_reference_at_budget_edge(self):
+        # A+1 over (A, 2A+1) takes A steps against a budget of 1,300 for 1024 <= A < 2048
+        over = []
+        for big in range(1290, 1311):
+            inp = WalkInput(b=big + 1, a=big, c=2 * big + 1)
+            got = outcome(collapsed_walk, inp)
+            assert got == outcome(reference_walk, inp), inp
+            over.append(got is StepBudgetExceeded)
+        assert over == [False] * 11 + [True] * 10
+        over = []
+        for big in range(1400, 1601):
+            values = (big - 1, big, big + 1, 2 * big + 1)
+            for b, a, c in itertools.permutations(values, 3):
+                if math.gcd(b, a) == math.gcd(b, c) == math.gcd(a, c) == 1:
+                    inp = WalkInput(b=b, a=a, c=c)
+                    got = outcome(collapsed_walk, inp)
+                    assert got == outcome(reference_walk, inp), inp
+                    over.append(got is StepBudgetExceeded)
+        assert (len(over), sum(over)) == (3018, 804)
+
+    def test_long_run_is_one_division(self):
+        _, tr = find_least_multiple(WalkInput(b=1001, a=1000, c=2001))
+        assert (tr.n_steps, tr.iterations, tr.k2_run_max) == (1000, 1, 1000)
 
 
 class TestTraceInvariants:

@@ -139,7 +139,7 @@ def cmd_verify(args) -> int:
     walks = 0
     for a1, a2, a3 in _iter_valid_triples(args.max):
         res = frobenius(a1, a2, a3)
-        # one sieve: the POSITIVE-convention answer is the NONNEG one plus the generator sum
+        # one table: the POSITIVE-convention answer is the NONNEG one plus the generator sum
         want_g = oracle_frobenius((a1, a2, a3), NONNEG)
         want_f = want_g + a1 + a2 + a3
         if res.g != want_g or res.f_pos != want_f:

@@ -30,7 +30,7 @@ class StepBudgetExceeded(Frobenius3Error, RuntimeError):
 
 
 class OracleBoundExceeded(Frobenius3Error, ValueError):
-    """Input too large for the brute-force oracle's sieve guard."""
+    """Input too large for the brute-force oracle: its table modulus or search range."""
 
 
 class TripleGenerationError(Frobenius3Error, RuntimeError):

@@ -1,73 +1,80 @@
 """Brute-force ground truth for small inputs.
 
-Everything here is computed by sieving or exhaustive search and shares no
-logic with the walk/certificate fast path; it exists so that the fast path can be
-validated against an independent reference in tests and `frob3 verify`.
+Everything here is computed by a residue table or exhaustive search and shares
+no logic with the walk/certificate fast path; it exists so that the fast path
+can be validated against an independent reference in tests and `frob3 verify`.
 """
 
 import math
 
-from .errors import InvalidInputError, InvariantViolation, OracleBoundExceeded
+from .errors import InvalidInputError, InvariantViolation, OracleBoundExceeded, check_generators
 from .walk import MultipleCertificate
 
-# sieve sizes beyond this are refused; the oracle is for small inputs only
+# oracle_frobenius refuses a least generator (the table's modulus) above this
+MAX_MODULUS = 10**6
+# oracle_least_multiple's search runs up to the pair product
 MAX_PAIR_PRODUCT = 10**8
 
 NONNEG = "nonneg"
 POSITIVE = "positive"
 
 
-def build_sieve(generators, bound: int) -> bytearray:
-    """Reachability table over [0, bound]: table[n] is 1 iff n is a nonnegative
-    combination of the generators, else 0."""
-    gens = tuple(sorted(generators))
+def residue_table(generators) -> list:
+    """Brauer–Shockley table mod a1 = min(generators): entry r is the least nonnegative
+    combination of the generators congruent to r mod a1, or None if no combination is.
+
+    Round robin (Böcker and Lipták 2007): for each further generator a, the residues
+    fall into gcd(a, a1) cycles of r -> r + a mod a1. One pass around a cycle relaxes
+    t[r + a] = min(t[r + a], t[r] + a). It starts at the cycle's least reached entry,
+    which no other entry plus a can lower, so each entry it reaches is already final."""
+    gens = sorted(generators)
+    if not gens:
+        raise InvalidInputError("need at least one generator")
     for g in gens:
         if g < 2:
             raise InvalidInputError(f"generators must be >= 2, got {g}")
-    table = bytearray(bound + 1)
-    table[0] = 1
-    # one pass per generator: within each residue class mod g, once a
-    # reachable entry appears every later entry is reachable too
-    for g in gens:
-        for r in range(min(g, bound + 1)):
-            i = table[r::g].find(1)
-            if i >= 0:
-                start = r + i * g
-                table[start::g] = b"\x01" * ((bound - start) // g + 1)
+    a1 = gens[0]
+    table = [None] * a1
+    table[0] = 0
+    for a in gens[1:]:
+        step = a % a1
+        cycles = math.gcd(step, a1)
+        for c in range(cycles):
+            reached = [r for r in range(c, a1, cycles) if table[r] is not None]
+            if not reached:
+                continue
+            r = min(reached, key=table.__getitem__)
+            n = table[r]
+            for _ in range(a1 // cycles - 1):
+                r += step
+                if r >= a1:
+                    r -= a1
+                n += a
+                least = table[r]
+                if least is None or n < least:
+                    table[r] = n
+                else:
+                    n = least
     return table
 
 
-def _check_pairwise_coprime(gens):
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if math.gcd(gens[i], gens[j]) != 1:
-                raise InvalidInputError(
-                    f"oracle requires pairwise-coprime generators, got {gens}")
-
-
 def oracle_frobenius(generators, convention: str = NONNEG) -> int:
-    """Largest non-representable integer, by direct sieve.
-
-    Sieve bound: the best pair's product plus the generator sum, which always
-    exceeds the answer in either convention."""
+    """Largest non-representable integer: the largest table entry minus the modulus a1,
+    since every table entry t is the least representable number of its class and
+    t - a1 the largest one that is not."""
     gens = tuple(sorted(generators))
     if len(gens) != 3:
         raise InvalidInputError("oracle_frobenius expects exactly three generators")
-    _check_pairwise_coprime(gens)
-    min_pair_product = min(gens[0] * gens[1], gens[0] * gens[2], gens[1] * gens[2])
-    if min_pair_product > MAX_PAIR_PRODUCT:
+    check_generators(*gens)
+    if gens[0] > MAX_MODULUS:
         raise OracleBoundExceeded(
-            f"min pair product {min_pair_product} exceeds oracle guard {MAX_PAIR_PRODUCT}")
-    total = sum(gens)
-    bound = min_pair_product + total
-    g = build_sieve(gens, bound).rfind(0)
-    if g < 0:
-        raise InvariantViolation("sieve found no gaps; bound logic broken")
+            f"least generator {gens[0]} exceeds oracle guard {MAX_MODULUS}")
+    g = max(residue_table(gens)) - gens[0]
     if convention == NONNEG:
         return g
     if convention == POSITIVE:
         # n is positive-representable iff n - total is nonneg-representable
-        return g + total
+        return g + sum(gens)
     raise InvalidInputError(f"unknown convention {convention!r}")
 
 
@@ -86,7 +93,7 @@ def oracle_least_multiple(target: int, pair) -> MultipleCertificate:
     x, y = sorted(pair)
     if x * y > MAX_PAIR_PRODUCT:
         raise OracleBoundExceeded(f"pair product {x * y} exceeds oracle guard")
-    _check_pairwise_coprime((target, x, y))
+    check_generators(target, x, y)
     for m in range(1, x * y + 1):
         hit = _positive_pair_decomposition(m * target, x, y)
         if hit is not None:
@@ -97,7 +104,7 @@ def oracle_least_multiple(target: int, pair) -> MultipleCertificate:
 
 
 def oracle_representable(n: int, generators, convention: str = NONNEG) -> bool:
-    """Exact representability check by sieve lookup."""
+    """Exact representability check: n is representable iff n >= table[n mod a1]."""
     if n < 0:
         raise InvalidInputError("n must be >= 0")
     gens = tuple(sorted(generators))
@@ -108,6 +115,9 @@ def oracle_representable(n: int, generators, convention: str = NONNEG) -> bool:
         return oracle_representable(shifted, gens, NONNEG)
     if convention != NONNEG:
         raise InvalidInputError(f"unknown convention {convention!r}")
-    if n == 0:
-        return True
-    return bool(build_sieve(gens, n)[n])
+    if not gens or n < gens[0]:
+        # only the empty combination lies below a1; this also keeps the table no longer than n
+        return n == 0
+    table = residue_table(gens)
+    least = table[n % gens[0]]
+    return least is not None and n >= least

@@ -88,7 +88,7 @@ def test_criterion_4_large_example_vs_sieve():
     want = oracle_frobenius((7523, 8231, 9533))
     got = frobenius(7523, 8231, 9533).g
     elapsed = time.monotonic() - start
-    report(4, got == want and elapsed < 120, f"(g={got}, sieve={want}, {elapsed:.1f}s)")
+    report(4, got == want and elapsed < 120, f"(g={got}, oracle={want}, {elapsed:.1f}s)")
 
 
 def test_criterion_5_small_fixtures():

@@ -1,35 +1,42 @@
 import itertools
+import math
+import random
 
 import pytest
 
 from frobenius3.errors import InvalidInputError, OracleBoundExceeded
 from frobenius3.oracle import (
-    build_sieve,
+    MAX_MODULUS,
     oracle_frobenius,
     oracle_least_multiple,
     oracle_representable,
+    residue_table,
 )
+from frobenius3.solver import frobenius
 
 
-class TestSieve:
+class TestResidueTable:
     def test_self_consistency(self):
+        # each entry lies in its class and no generator added to another entry undercuts it
         gens = (4, 7, 9)
-        table = build_sieve(gens, 200)
-        assert table[0] == 1
-        for n in range(201):
-            if table[n]:
-                for g in gens:
-                    if n + g <= 200:
-                        assert table[n + g]
+        table = residue_table(gens)
+        assert table[0] == 0
+        for r, least in enumerate(table):
+            assert least % 4 == r
+            for g in gens:
+                assert table[(r + g) % 4] <= least + g
 
     def test_matches_definition(self):
-        for gens, bound in (((3, 5, 7), 60), ((3, 5, 7), 0), ((4, 7, 9), 8), ((2, 3), 20),
-                            ((6, 10, 15), 100), ((7,), 30), ((11, 13, 17), 5)):
-            table = build_sieve(gens, bound)
-            assert len(table) == bound + 1
+        # bounds run past each set's largest gap. (7,) leaves classes unreached, (6, 10, 15)
+        # is coprime only as a set, and (4, 7, 10) has a cycle (17 ≡ 1 mod 4, from 7 + 10)
+        # whose pass must start at its least entry, not its first
+        for gens, bound in (((3, 5, 7), 60), ((3, 5, 7), 0), ((4, 7, 9), 200), ((2, 3), 20),
+                            ((6, 10, 15), 100), ((7,), 30), ((11, 13, 17), 150),
+                            ((4, 7, 10), 40)):
             for n in range(bound + 1):
-                expected = n == 0 or any(n >= g and table[n - g] for g in gens)
-                assert bool(table[n]) == expected
+                expected = n == 0 or any(n >= g and oracle_representable(n - g, gens)
+                                         for g in gens)
+                assert oracle_representable(n, gens) == expected, (gens, n)
 
 
 class TestOracleFrobenius:
@@ -39,8 +46,7 @@ class TestOracleFrobenius:
         assert oracle_frobenius((5, 7, 9)) == 13
 
     def test_gaps_357(self):
-        table = build_sieve((3, 5, 7), 20)
-        gaps = [n for n in range(21) if not table[n]]
+        gaps = [n for n in range(21) if not oracle_representable(n, (3, 5, 7))]
         assert gaps == [1, 2, 4]
 
     def test_order_independence(self):
@@ -50,6 +56,24 @@ class TestOracleFrobenius:
     def test_guard(self):
         with pytest.raises(OracleBoundExceeded):
             oracle_frobenius((10**9 + 7, 10**9 + 9, 10**9 + 21))
+        with pytest.raises(OracleBoundExceeded):
+            oracle_frobenius((MAX_MODULUS + 1, MAX_MODULUS + 2, MAX_MODULUS + 3))
+        # the pair product is 1e11, but the table has only a1 = 101 entries
+        triple = (101, 10**9 + 7, 10**9 + 9)
+        assert oracle_frobenius(triple) == 18000000037 == frobenius(*triple).g
+
+    def test_matches_frobenius_with_large_pair(self):
+        # 4- and 5-digit a1 with 100- to 1000-digit a2, a3: tables of 1e3 to 1e5 entries
+        for seed, (a1_digits, digits) in enumerate(itertools.product((4, 5), (100, 300, 1000))):
+            rng = random.Random(seed)
+            while True:
+                triple = (rng.randrange(10 ** (a1_digits - 1), 10**a1_digits),
+                          *(rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(2)))
+                if all(math.gcd(x, y) == 1 for x, y in itertools.combinations(triple, 2)):
+                    res = frobenius(*triple)
+                    if not res.degenerate:
+                        break
+            assert oracle_frobenius(triple) == res.g, triple
 
     def test_rejects_non_coprime(self):
         with pytest.raises(InvalidInputError):

@@ -1,4 +1,4 @@
-"""Property tests (hypothesis) against the sieve oracle, past the exhaustive tests' range.
+"""Property tests (hypothesis) against the residue-table oracle, past the exhaustive tests' range.
 
 Derandomized and without an example database, so runs are repeatable and write nothing."""
 

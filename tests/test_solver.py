@@ -238,7 +238,7 @@ class TestFrobenius:
         assert r.g == 7
         assert r.degenerate_member == 2
         assert r.certificates is None
-        # sieve over <3,5,8> confirms the reduction
+        # the oracle's table over <3,5,8> confirms the reduction
         assert oracle_frobenius((3, 5, 8)) == 7
 
     def test_degenerate_235(self):

@@ -27,7 +27,6 @@ from .walk import (
     WalkInput,
     WalkTrace,
     find_least_multiple,
-    pair_representable,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "FrobeniusResult", "ValidatedTriple", "frobenius", "result_to_json",
     "validate_triple",
     "MultipleCertificate", "WalkInput", "WalkTrace", "find_least_multiple",
-    "pair_representable",
 ]

@@ -104,8 +104,7 @@ def cmd_compute(args) -> int:
 def cmd_least_multiple(args) -> int:
     target = parse_bigint(args.target)
     x, y = (parse_bigint(s) for s in args.pair)
-    inp = WalkInput(b=target, a=min(x, y), c=max(x, y))
-    cert, trace = find_least_multiple(inp)
+    cert, trace = find_least_multiple(WalkInput(b=target, a=x, c=y))
     if args.json:
         out = {"certificate": {"m": str(cert.m), "u": str(cert.u), "w": str(cert.w),
                                "target": str(cert.target),

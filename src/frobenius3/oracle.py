@@ -79,12 +79,11 @@ def oracle_frobenius(generators, convention: str = NONNEG) -> int:
 
 
 def _positive_pair_decomposition(n: int, x: int, y: int):
-    """Smallest-u solution of n = u*x + w*y with u, w >= 1, or None. Pure search."""
-    u = 1
-    while u * x + y <= n:
-        if (n - u * x) % y == 0:
-            return u, (n - u * x) // y
-        u += 1
+    """Smallest-u solution of n = u*x + w*y with u, w >= 1, or None. Pure search:
+    w runs down from its largest value with u >= 1, so the first hit has the least u."""
+    for w in range((n - x) // y, 0, -1):
+        if (n - w * y) % x == 0:
+            return (n - w * y) // x, w
     return None
 
 

@@ -16,7 +16,7 @@ a result is returned (assemble_result).
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, InvariantViolation, check_generators
-from .walk import MultipleCertificate, WalkInput, WalkTrace, _representable, find_least_multiple
+from .walk import MultipleCertificate, WalkInput, WalkTrace, find_least_multiple
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,15 @@ class FrobeniusResult:
 
 
 def validate_triple(x1: int, x2: int, x3: int) -> ValidatedTriple:
-    """Sort, check pairwise coprimality, and flag a degenerate member."""
+    """Sort, check pairwise coprimality, and flag a degenerate member.
+
+    Only a3 can be a positive combination u*a1 + w*a2 of the other two.  The least
+    u >= 1 with u*a1 = a3 (mod a2) is a3*a1^-1 mod a2 (never 0: a2 does not divide
+    a3), and a3 is such a combination iff a3 - u*a1 >= a2 for that u."""
     a1, a2, a3 = sorted((x1, x2, x3))
     check_generators(a1, a2, a3)
-    # a1, a2 can never be positive combinations of the two larger ones
-    degenerate = 2 if _representable(a3, a1, a2) else None
-    return ValidatedTriple(a1, a2, a3, degenerate_member=degenerate)
+    degenerate = a3 >= a1 + a2 and a3 - a3 * pow(a1, -1, a2) % a2 * a1 >= a2
+    return ValidatedTriple(a1, a2, a3, degenerate_member=2 if degenerate else None)
 
 
 def least_multiples_all(t: ValidatedTriple) -> tuple[

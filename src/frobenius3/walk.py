@@ -10,9 +10,11 @@ The walk takes one iteration per partial quotient k_i.  Most steps have k = 2,
 and in a run of them x_i - x_{i-1} is constant, so p, v and q move by fixed
 differences.  One division finds the step where k leaves 2 or q first turns
 negative, and the walk jumps there (_walk gives the argument).
-Every answer carries a certificate checked by exact arithmetic.
-The trace keeps the row before the last; solver.least_multiples_all reads the
-least multiples of a and c off the two rows.
+WalkInput stores the pair as a < c, and the certificate and the trace follow that
+order.  find_least_multiple counts the steps against the budget.  Every answer
+carries a certificate checked by exact arithmetic.  The trace keeps the row
+before the last; solver.least_multiples_all reads the least multiples of a and c
+off the two rows.
 """
 
 from dataclasses import dataclass
@@ -22,13 +24,19 @@ from .errors import InvariantViolation, StepBudgetExceeded, check_generators
 
 @dataclass(frozen=True)
 class WalkInput:
-    """Target b and the pair (a, c) it must be combined from; all pairwise coprime."""
+    """Target b and the pair (a, c) it must be combined from; all pairwise coprime.
+
+    The pair is stored in ascending order, a < c, so the walk's modulus c is the
+    larger element and the least multiplier lies below it."""
 
     b: int
     a: int
     c: int
 
     def __post_init__(self):
+        a, c = sorted((self.a, self.c))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
         check_generators(self.a, self.b, self.c)
 
 
@@ -69,7 +77,7 @@ class WalkTrace:
         return tuple(
             WalkStep(k, p + i * (p_prev - p), v - i * (v - v_prev), q + i * (q_prev - q))
             for k, j, p_prev, p, v_prev, v, q_prev, q
-            in _walk(self.input, self.t0, self.p0, self.n_steps)
+            in _walk(self.input, self.t0, self.p0)
             for i in range(j - 1, -1, -1))
 
 
@@ -111,7 +119,7 @@ def default_step_budget(c: int) -> int:
     return 100 * c.bit_length() + 100
 
 
-def _walk(inp: WalkInput, t0: int, p0: int, max_steps: int):
+def _walk(inp: WalkInput, t0: int, p0: int):
     """Yield (k, j, p_{n-1}, p_n, v_{n-1}, v_n, q_{n-1}, q_n) once per partial quotient k,
     for the j steps it takes, ending at row n, while q >= 0.
 
@@ -133,11 +141,9 @@ def _walk(inp: WalkInput, t0: int, p0: int, max_steps: int):
     run (from row n) has p_{n+m-2} < 2*p_{n+m-1}, k = 2, exactly when m*d < p_n, so
     the run lasts j = (p_n - 1) // d steps, and p > 1 on every row but perhaps its
     last.  When f > 0, q_n - m*f < 0 first at m = q_n // f + 1, where the walk stops.
-    The budget counts steps, not iterations: a walk raises StepBudgetExceeded
-    exactly when one step at a time would have taken more than max_steps."""
+    The walk counts nothing: find_least_multiple adds up the j and checks the budget."""
     s = p0 // inp.c or 1
     p_prev, p, v_prev, v, q_prev, q = s * inp.c, p0, 0, 1, s * inp.a, t0
-    n = 0
     while q >= 0:
         if p == 1:
             raise InvariantViolation(f"walk reached p = 1 without stopping for {inp}")
@@ -154,56 +160,37 @@ def _walk(inp: WalkInput, t0: int, p0: int, max_steps: int):
             p_prev, p = p, k * p - p_prev
             v_prev, v = v, k * v - v_prev
             q_prev, q = q, k * q - q_prev
-        n += j
-        if n > max_steps:
-            raise StepBudgetExceeded(
-                f"walk exceeded {max_steps} steps for (b={inp.b}, a={inp.a}, c={inp.c})")
         yield k, j, p_prev, p, v_prev, v, q_prev, q
 
 
 def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]:
-    """Run the walk to termination; return the certificate and the trace.
+    """Run the walk to termination; return the certificate and the trace, both in
+    inp's pair order (a < c).
 
-    The walk takes the smaller pair element as its "a" and the larger as its
-    modulus c, so the answer m is below c, where the walk finds it.  The trace
-    is of that walk; the certificate is in the caller's (pair_a, pair_c) order.
+    The steps are counted here, j for each yielded run, against
+    default_step_budget(c): StepBudgetExceeded is raised exactly when one step at
+    a time would have taken more steps than the budget.
     """
-    b = inp.b
-    walk_inp = inp if inp.a < inp.c else WalkInput(b=b, a=inp.c, c=inp.a)
-    a, c = walk_inp.a, walk_inp.c
+    b, a, c = inp.b, inp.a, inp.c
     # t0 = (-b * c^-1) mod a and p0 = (b + c*t0)/a, so p0*a = b (mod c)
     t0 = -b * pow(c, -1, a) % a
     p0, rem = divmod(b + c * t0, a)
     if rem != 0:
-        raise InvariantViolation(f"(b + c*t0) not divisible by a for {walk_inp}")
+        raise InvariantViolation(f"(b + c*t0) not divisible by a for {inp}")
     # row 0 is (p0, 1, t0) with t0 >= 1 (a does not divide b): the walk takes a step
+    max_steps = default_step_budget(c)
     n = iterations = k2_run_max = 0
-    for k, j, p_prev, p, v_prev, v, q_prev, q in _walk(walk_inp, t0, p0, default_step_budget(c)):
+    for k, j, p_prev, p, v_prev, v, q_prev, q in _walk(inp, t0, p0):
         n += j
+        if n > max_steps:
+            raise StepBudgetExceeded(f"walk exceeded {max_steps} steps for (b={b}, a={a}, c={c})")
         iterations += 1
         if k == 2 and j > k2_run_max:
             k2_run_max = j
-    u, w = (p, -q) if walk_inp is inp else (-q, p)
-    cert = MultipleCertificate(m=v, u=u, w=w, target=b, pair_a=inp.a, pair_c=inp.c)
-    return cert, WalkTrace(input=walk_inp, t0=t0, p0=p0, n_steps=n,
+    cert = MultipleCertificate(m=v, u=p, w=-q, target=b, pair_a=a, pair_c=c)
+    return cert, WalkTrace(input=inp, t0=t0, p0=p0, n_steps=n,
                            penultimate=(p_prev, v_prev, q_prev),
                            iterations=iterations, k2_run_max=k2_run_max)
-
-
-def pair_representable(n: int, x: int, y: int) -> bool:
-    """True iff n = u*x + w*y has a solution with u, w >= 1 (x, y coprime)."""
-    check_generators(x, y)
-    return _representable(n, x, y)
-
-
-def _representable(n: int, x: int, y: int) -> bool:
-    """pair_representable for x, y already checked."""
-    if n < x + y:
-        return False
-    u0 = n * pow(x, -1, y) % y
-    if u0 == 0:
-        u0 = y
-    return n - u0 * x >= y
 
 
 def trace_rows(trace: WalkTrace) -> list[tuple[int, int | None, int, int, int]]:

@@ -13,7 +13,7 @@ from frobenius3.bench import (
     write_csv,
 )
 from frobenius3.errors import InvalidInputError
-from frobenius3.walk import pair_representable
+from frobenius3.oracle import oracle_representable
 
 
 class TestRandomCoprimeTriple:
@@ -26,7 +26,7 @@ class TestRandomCoprimeTriple:
         for i in range(30):
             a1, a2, a3 = random_coprime_triple(3, random.Random(i))
             assert math.gcd(a1, a2) == math.gcd(a1, a3) == math.gcd(a2, a3) == 1
-            assert not pair_representable(a3, a1, a2)
+            assert not oracle_representable(a3, (a1, a2), "positive")
 
     def test_digit_count(self):
         for digits in (2, 10, 1000):

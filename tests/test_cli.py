@@ -131,6 +131,14 @@ class TestLeastMultiple:
         code, _, _ = run(capsys, "least-multiple", "10", "--pair", "4", "6")
         assert code == 2
 
+    def test_pair_order_does_not_matter(self, capsys):
+        # the pair is printed, serialized and walked in ascending order whichever order is given
+        for target, x, y in (("8231", "9533", "7523"), ("11", "3", "2")):
+            for flags in ((), ("--json",), ("--trace",), ("--trace", "--json")):
+                given = run(capsys, "least-multiple", target, "--pair", x, y, *flags)
+                ascending = run(capsys, "least-multiple", target, "--pair", y, x, *flags)
+                assert given == ascending and given[0] == 0, (target, flags)
+
 
 class TestVerify:
     def test_small_run(self, capsys):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import frobenius3
 from frobenius3 import solver
 from frobenius3.bench import random_coprime_triple
 from frobenius3.errors import InvalidInputError, InvariantViolation, NotPairwiseCoprimeError
@@ -18,7 +19,7 @@ from frobenius3.solver import (
     result_to_json,
     validate_triple,
 )
-from frobenius3.walk import MultipleCertificate, WalkInput, pair_representable
+from frobenius3.walk import MultipleCertificate, WalkInput
 
 
 def assert_davison_sylvester(r):
@@ -36,6 +37,19 @@ class TestValidateTriple:
     def test_degenerate(self):
         t = validate_triple(3, 5, 8)
         assert t.degenerate_member == 2  # 8 = 3 + 5
+
+    def test_degenerate_matches_definition(self):
+        # degenerate exactly when a3 = u*a1 + w*a2 with u, w >= 1, on every triple up to 60
+        triples = 0
+        for a1, a2, a3 in itertools.combinations(range(2, 61), 3):
+            if math.gcd(a1, a2) != 1 or math.gcd(a1, a3) != 1 or math.gcd(a2, a3) != 1:
+                continue
+            want = any((a3 - u * a1) % a2 == 0 for u in range(1, (a3 - a2) // a1 + 1))
+            assert validate_triple(a3, a1, a2).degenerate is want, (a1, a2, a3)
+            triples += 1
+        assert triples == 9245
+        assert validate_triple(5, 7, 12).degenerate  # 12 = 5 + 7
+        assert not validate_triple(5, 7, 11).degenerate
 
     def test_non_coprime_names_pair(self):
         with pytest.raises(NotPairwiseCoprimeError) as exc:
@@ -79,7 +93,6 @@ class TestGeneratorCheck:
             want = expected((b, a, c))
             assert raised(WalkInput, b, a, c) is want, (b, a, c)
             assert raised(validate_triple, b, a, c) is want, (b, a, c)
-            assert raised(pair_representable, b, a, c) is expected((a, c)), (b, a, c)
 
 
 class TestPairFrobenius:
@@ -329,3 +342,13 @@ class TestJsonSerialization:
         assert doc["certificates"] is None
         assert doc["candidate_A"] is None
         assert doc["degenerate_member"] == 2
+
+
+class TestPackageExports:
+    def test_all_resolves(self):
+        names = frobenius3.__all__
+        assert len(names) == len(set(names))
+        assert all(hasattr(frobenius3, name) for name in names)
+        namespace = {}
+        exec("from frobenius3 import *", namespace)
+        assert set(names) <= set(namespace)

@@ -17,7 +17,6 @@ from frobenius3.walk import (
     WalkInput,
     default_step_budget,
     find_least_multiple,
-    pair_representable,
     trace_rows,
     trace_table,
     trace_to_json,
@@ -40,7 +39,7 @@ def reference_walk(inp):
     """find_least_multiple one step at a time: the plain three-term recurrence and its budget.
 
     Returns ((m, u, w, t0, p0, n_steps, penultimate), rows) with rows (k_i, p_i, v_i, q_i)."""
-    b, a, c = inp.b, min(inp.a, inp.c), max(inp.a, inp.c)
+    b, a, c = inp.b, inp.a, inp.c
     t0 = -b * pow(c, -1, a) % a
     p0 = (b + c * t0) // a
     s = p0 // c or 1
@@ -56,8 +55,7 @@ def reference_walk(inp):
         v_prev, v = v, k * v - v_prev
         q_prev, q = q, k * q - q_prev
         rows.append((k, p, v, q))
-    u, w = (p, -q) if inp.a < inp.c else (-q, p)
-    return (v, u, w, t0, p0, len(rows), (p_prev, v_prev, q_prev)), rows
+    return (v, p, -q, t0, p0, len(rows), (p_prev, v_prev, q_prev)), rows
 
 
 def outcome(walk, inp):
@@ -85,6 +83,11 @@ class TestWalkInput:
     def test_rejects_small_values(self):
         with pytest.raises(InvalidInputError):
             WalkInput(b=1, a=3, c=5)
+
+    def test_stores_pair_ascending(self):
+        inp = WalkInput(b=11, a=3, c=2)
+        assert (inp.b, inp.a, inp.c) == (11, 2, 3)
+        assert inp == WalkInput(b=11, a=2, c=3)
 
 
 class TestInitWalk:
@@ -144,11 +147,12 @@ class TestFindLeastMultiple:
         assert (cert.m, cert.u, cert.w) == (1, 1, 1)
 
     def test_reversed_roles(self):
-        # the walk runs on (a, c) = (2, 3); (u, w) comes back in the caller's order
+        # WalkInput stores the pair as (2, 3): the certificate and the trace come back in that order
         cert, tr = find_least_multiple(WalkInput(b=11, a=3, c=2))
-        assert (cert.m, cert.u, cert.w) == (1, 3, 1)
-        assert (cert.pair_a, cert.pair_c) == (3, 2)
-        assert tr.input == WalkInput(b=11, a=2, c=3)
+        assert (cert.m, cert.u, cert.w) == (1, 1, 3)
+        assert (cert.pair_a, cert.pair_c) == (2, 3)
+        assert (tr.input.a, tr.input.c) == (2, 3)
+        assert (cert, tr) == find_least_multiple(WalkInput(b=11, a=2, c=3))
 
     def test_budget_exhaustion(self):
         # a long run of k = 2 steps needs more than default_step_budget(20001) = 1,600
@@ -183,8 +187,8 @@ class TestFindLeastMultiple:
                 continue
             c1, t1 = find_least_multiple(WalkInput(b=a2, a=a1, c=a3))
             c2, t2 = find_least_multiple(WalkInput(b=a2, a=a3, c=a1))
-            assert c1.m == c2.m
-            assert (c1.u, c1.w) == (c2.w, c2.u)
+            assert c1 == c2
+            assert (c1.pair_a, c1.pair_c) == (a1, a3)
             assert t1 == t2
             assert t1.input.a < t1.input.c
             checked += 1
@@ -261,8 +265,8 @@ class TestTraceInvariants:
                 _, _, p, v, q = rows[-1]
                 assert q < 0
                 assert tr.penultimate == rows[-2][2:]
-                u, w = (cert.u, cert.w) if cert.pair_a == a else (cert.w, cert.u)
-                assert (cert.m, u, w) == (v, p, -q)
+                assert (cert.pair_a, cert.pair_c) == (a, c)
+                assert (cert.m, cert.u, cert.w) == (v, p, -q)
                 assert rows[1:] == [(i, s.k, s.p, s.v, s.q)
                                     for i, s in enumerate(tr.steps, start=1)]
         assert scaled_starts > 0
@@ -303,25 +307,6 @@ class TestCertificate:
     def test_value(self):
         cert, _ = find_least_multiple(GOLDEN)
         assert cert.value == 64 * 8231
-
-
-class TestPairRepresentable:
-    def test_examples(self):
-        assert pair_representable(12, 5, 7)
-        assert not pair_representable(5, 3, 7)
-        assert pair_representable(41, 5, 7)  # 41 = 4*5 + 3*7
-
-    def test_exhaustive(self):
-        def brute(n, x, y):
-            return any((n - u * x) % y == 0 and (n - u * x) // y >= 1
-                       for u in range(1, n // x + 1))
-        for x, y in ((3, 7), (5, 7), (2, 9), (11, 13)):
-            for n in range(1, x * y + x + y + 5):
-                assert pair_representable(n, x, y) == brute(n, x, y)
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(NotPairwiseCoprimeError):
-            pair_representable(10, 4, 6)
 
 
 class TestTraceSerialization:

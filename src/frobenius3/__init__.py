@@ -1,7 +1,9 @@
 """Frobenius numbers of three pairwise-coprime generators.
 
-Certified fast path (least-multiple walk, solutions read off the certificates),
-brute-force oracle, benchmark harness, and CLI.
+Certified fast path (`walk`: the least-multiple walk; `solver`: one walk per
+triple, both CRT solutions read off its certificates, no CRT computed),
+residue-table oracle (`oracle`), benchmark harness (`bench`) and CLI (`cli`).
+`modarith` holds no code; its docstring says why the file is still there.
 """
 
 from .errors import (
@@ -11,9 +13,7 @@ from .errors import (
     NotPairwiseCoprimeError,
     OracleBoundExceeded,
     StepBudgetExceeded,
-    TripleGenerationError,
 )
-from .modarith import Congruence, crt_combine
 from .oracle import oracle_frobenius, oracle_least_multiple, oracle_representable
 from .solver import (
     FrobeniusResult,
@@ -31,8 +31,7 @@ from .walk import (
 
 __all__ = [
     "Frobenius3Error", "InvalidInputError", "InvariantViolation", "NotPairwiseCoprimeError",
-    "OracleBoundExceeded", "StepBudgetExceeded", "TripleGenerationError",
-    "Congruence", "crt_combine",
+    "OracleBoundExceeded", "StepBudgetExceeded",
     "oracle_frobenius", "oracle_least_multiple", "oracle_representable",
     "FrobeniusResult", "ValidatedTriple", "frobenius", "result_to_json",
     "validate_triple",

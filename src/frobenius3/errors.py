@@ -33,10 +33,6 @@ class OracleBoundExceeded(Frobenius3Error, ValueError):
     """Input too large for the brute-force oracle: its table modulus or search range."""
 
 
-class TripleGenerationError(Frobenius3Error, RuntimeError):
-    """Random triple generation exhausted its resampling cap."""
-
-
 def check_generators(*values: int) -> None:
     """Require every value >= 2 and the values pairwise coprime (equal values share themselves).
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from frobenius3 import bench
 from frobenius3.bench import (
     CSV_COLUMNS,
     BenchConfig,
@@ -14,6 +15,7 @@ from frobenius3.bench import (
 )
 from frobenius3.errors import InvalidInputError
 from frobenius3.oracle import oracle_representable
+from frobenius3.solver import validate_triple
 
 
 class TestRandomCoprimeTriple:
@@ -24,14 +26,14 @@ class TestRandomCoprimeTriple:
 
     def test_pairwise_coprime_and_nondegenerate(self):
         for i in range(30):
-            a1, a2, a3 = random_coprime_triple(3, random.Random(i))
+            a1, a2, a3 = random_coprime_triple(3, random.Random(i)).generators
             assert math.gcd(a1, a2) == math.gcd(a1, a3) == math.gcd(a2, a3) == 1
             assert not oracle_representable(a3, (a1, a2), "positive")
 
     def test_digit_count(self):
         for digits in (2, 10, 1000):
             triple = random_coprime_triple(digits, random.Random(0))
-            assert all(len(str(n)) == digits for n in triple)
+            assert all(len(str(n)) == digits for n in triple.generators)
 
     def test_rejects_one_digit(self):
         with pytest.raises(InvalidInputError):
@@ -83,6 +85,14 @@ class TestRunBench:
         counts = [r[:3] + r[6:] for r in rows]
         assert counts == [r[:3] + r[6:] for r in rows2]
         assert all(1 <= int(r[-1]) <= int(r[2]) for r in rows[1:])
+
+    def test_sample_validates_once(self, monkeypatch):
+        # the drawn triple is already validated; run_sample times its walk and assembly only
+        drawn = validate_triple(7523, 8231, 9533)
+        monkeypatch.setattr(bench, "random_coprime_triple", lambda digits, rng: drawn)
+        monkeypatch.setattr(bench, "validate_triple", None)
+        rec = bench.run_sample(BenchConfig(digits=4, samples=1, seed=0), 0)
+        assert rec.triple == drawn.generators
 
     def test_full_values_flag(self, tmp_path):
         path = tmp_path / "full.csv"

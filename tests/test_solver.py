@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import json
 import math
@@ -10,7 +11,6 @@ import frobenius3
 from frobenius3 import solver
 from frobenius3.bench import random_coprime_triple
 from frobenius3.errors import InvalidInputError, InvariantViolation, NotPairwiseCoprimeError
-from frobenius3.modarith import Congruence, crt_combine
 from frobenius3.oracle import oracle_frobenius, oracle_least_multiple, oracle_representable
 from frobenius3.solver import (
     assemble_result,
@@ -20,6 +20,24 @@ from frobenius3.solver import (
     validate_triple,
 )
 from frobenius3.walk import MultipleCertificate, WalkInput
+
+
+def crt(residues, moduli):
+    """Least x >= 0 with x = r (mod m) for each (r, m); the moduli pairwise coprime."""
+    modulus = math.prod(moduli)
+    return sum(r * (modulus // m) * pow(modulus // m, -1, m)
+               for r, m in zip(residues, moduli)) % modulus
+
+
+class TestCrtHelper:
+    # the reference the candidates are checked against, itself checked by a scan
+    @pytest.mark.parametrize("moduli", [(3, 5, 7), (4, 5, 9), (2, 9, 25), (8, 7, 11)])
+    def test_matches_brute_force_scan(self, moduli):
+        # x -> (x mod m1, x mod m2, x mod m3) hits every residue triple once on [0, M)
+        solutions = {tuple(x % m for m in moduli): x for x in range(math.prod(moduli))}
+        assert len(solutions) == math.prod(moduli)
+        for residues, x in solutions.items():
+            assert crt(residues, moduli) == x
 
 
 def assert_davison_sylvester(r):
@@ -157,10 +175,9 @@ class TestCongruenceSystems:
 
     @staticmethod
     def crt_candidates(r):
-        # the reference: crt_combine of A (L1, L2, L3 mod a3, a1, a2) and B (mod a2, a3, a1)
+        # the reference: crt of A (L1, L2, L3 mod a3, a1, a2) and B (mod a2, a3, a1)
         values = [c.value for c in r.certificates]
-        return tuple(crt_combine([Congruence(v, m) for v, m in zip(values, moduli)])[0]
-                     for moduli in ((r.a3, r.a1, r.a2), (r.a2, r.a3, r.a1)))
+        return tuple(crt(values, moduli) for moduli in ((r.a3, r.a1, r.a2), (r.a2, r.a3, r.a1)))
 
     def test_candidates_equal_crt_small(self):
         checked = 0
@@ -180,7 +197,7 @@ class TestCongruenceSystems:
     def test_candidates_equal_crt_large(self, digits):
         rng = random.Random(8)
         for _ in range(3):
-            r = frobenius(*random_coprime_triple(digits, rng))
+            r = frobenius(*random_coprime_triple(digits, rng).generators)
             assert (r.candidate_a, r.candidate_b) == self.crt_candidates(r)
             assert_davison_sylvester(r)
 
@@ -352,3 +369,16 @@ class TestPackageExports:
         namespace = {}
         exec("from frobenius3 import *", namespace)
         assert set(names) <= set(namespace)
+
+    def test_benchmark_layers_import(self):
+        # perfbench/spans.py imports each module in its traced LAYERS; modarith stays, with
+        # no code, until ROADMAP item 1 drops it from that list
+        for layer in ("cli", "solver", "walk", "modarith", "oracle"):
+            importlib.import_module(f"frobenius3.{layer}")
+        assert [n for n in vars(frobenius3.modarith) if not n.startswith("__")] == []
+
+    @pytest.mark.parametrize("name", ["Congruence", "crt_combine", "TripleGenerationError"])
+    def test_deleted_names_not_exported(self, name):
+        assert name not in frobenius3.__all__
+        with pytest.raises(ImportError):
+            exec(f"from frobenius3 import {name}", {})

@@ -79,7 +79,8 @@ def cmd_compute(args) -> int:
     vals = [parse_bigint(s) for s in args.generators]
     res = frobenius(*vals)
     if args.json:
-        print(json.dumps(result_to_json(res), indent=2))
+        # one compact line: json.dumps runs its C encoder only without indent
+        print(json.dumps(result_to_json(res)))
         return EXIT_OK
     print(f"input: {res.a1} {res.a2} {res.a3}")
     if res.degenerate:
@@ -111,7 +112,7 @@ def cmd_least_multiple(args) -> int:
                                "pair": [str(cert.pair_a), str(cert.pair_c)]}}
         if args.trace:
             out["trace"] = trace_to_json(trace)
-        print(json.dumps(out, indent=2))
+        print(json.dumps(out))
         return EXIT_OK
     if args.trace:
         print(trace_table(trace))
@@ -168,7 +169,7 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     report = run_bench(config)
     if args.json:
-        print(json.dumps(report.summary(), indent=2))
+        print(json.dumps(report.summary()))
     else:
         print(summary_text(report))
     return EXIT_OK

@@ -19,6 +19,17 @@ NONNEG = "nonneg"
 POSITIVE = "positive"
 
 
+def _table_generators(generators) -> list:
+    """The generators in ascending order, once each is checked: at least one, all >= 2."""
+    gens = sorted(generators)
+    if not gens:
+        raise InvalidInputError("need at least one generator")
+    for g in gens:
+        if g < 2:
+            raise InvalidInputError(f"generators must be >= 2, got {g}")
+    return gens
+
+
 def residue_table(generators) -> list:
     """Brauer–Shockley table mod a1 = min(generators): entry r is the least nonnegative
     combination of the generators congruent to r mod a1, or None if no combination is.
@@ -27,12 +38,7 @@ def residue_table(generators) -> list:
     fall into gcd(a, a1) cycles of r -> r + a mod a1. One pass around a cycle relaxes
     t[r + a] = min(t[r + a], t[r] + a). It starts at the cycle's least reached entry,
     which no other entry plus a can lower, so each entry it reaches is already final."""
-    gens = sorted(generators)
-    if not gens:
-        raise InvalidInputError("need at least one generator")
-    for g in gens:
-        if g < 2:
-            raise InvalidInputError(f"generators must be >= 2, got {g}")
+    gens = _table_generators(generators)
     a1 = gens[0]
     table = [None] * a1
     table[0] = 0
@@ -66,16 +72,14 @@ def oracle_frobenius(generators, convention: str = NONNEG) -> int:
     if len(gens) != 3:
         raise InvalidInputError("oracle_frobenius expects exactly three generators")
     check_generators(*gens)
+    if convention not in (NONNEG, POSITIVE):
+        raise InvalidInputError(f"unknown convention {convention!r}")
     if gens[0] > MAX_MODULUS:
         raise OracleBoundExceeded(
             f"least generator {gens[0]} exceeds oracle guard {MAX_MODULUS}")
     g = max(residue_table(gens)) - gens[0]
-    if convention == NONNEG:
-        return g
-    if convention == POSITIVE:
-        # n is positive-representable iff n - total is nonneg-representable
-        return g + sum(gens)
-    raise InvalidInputError(f"unknown convention {convention!r}")
+    # n is positive-representable iff n - total is nonneg-representable
+    return g + sum(gens) if convention == POSITIVE else g
 
 
 def _positive_pair_decomposition(n: int, x: int, y: int):
@@ -106,16 +110,14 @@ def oracle_representable(n: int, generators, convention: str = NONNEG) -> bool:
     """Exact representability check: n is representable iff n >= table[n mod a1]."""
     if n < 0:
         raise InvalidInputError("n must be >= 0")
-    gens = tuple(sorted(generators))
+    gens = _table_generators(generators)
     if convention == POSITIVE:
-        shifted = n - sum(gens)
-        if shifted < 0:
-            return False
-        return oracle_representable(shifted, gens, NONNEG)
-    if convention != NONNEG:
+        # n is positive-representable iff n - total is nonneg-representable
+        n -= sum(gens)
+    elif convention != NONNEG:
         raise InvalidInputError(f"unknown convention {convention!r}")
-    if not gens or n < gens[0]:
-        # only the empty combination lies below a1; this also keeps the table no longer than n
+    if n < gens[0]:
+        # below a1 only 0, the empty sum, is representable; this keeps the table no longer than n
         return n == 0
     table = residue_table(gens)
     least = table[n % gens[0]]

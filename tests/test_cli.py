@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from frobenius3.bench import BenchConfig, run_bench
 from frobenius3.cli import build_parser, main, parse_bigint
 from frobenius3.errors import InvalidInputError
+from frobenius3.solver import frobenius, result_to_json
+from frobenius3.walk import WalkInput, find_least_multiple, trace_to_json
 
 
 def run(capsys, *argv):
@@ -185,6 +188,56 @@ class TestBench:
         assert code == 0
         doc = json.loads(out)
         assert doc["samples"] == 3
+
+
+class TestJsonOutput:
+    # the contract is the document (keys, order, value types, values), printed on one line
+    def one_document(self, capsys, *argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        return json.loads(out)
+
+    def assert_document(self, doc, expected):
+        # dumping both again compares key order at every level, whatever the printed layout
+        assert doc == expected and json.dumps(doc) == json.dumps(expected)
+
+    def test_compute(self, capsys):
+        for triple in ((7523, 8231, 9533), (3, 5, 8)):
+            doc = self.one_document(capsys, "compute", *map(str, triple), "--json")
+            self.assert_document(doc, result_to_json(frobenius(*triple)))
+
+    def test_least_multiple(self, capsys):
+        _, trace = find_least_multiple(WalkInput(b=8231, a=7523, c=9533))
+        expected = {"certificate": {"m": "64", "u": "13", "w": "45", "target": "8231",
+                                    "pair": ["7523", "9533"]}}
+        argv = ("least-multiple", "8231", "--pair", "7523", "9533", "--json")
+        self.assert_document(self.one_document(capsys, *argv), expected)
+        expected["trace"] = trace_to_json(trace)
+        self.assert_document(self.one_document(capsys, *argv, "--trace"), expected)
+
+    def test_bench(self, capsys):
+        doc = self.one_document(capsys, "bench", "--digits", "3", "--samples", "2",
+                                "--seed", "1", "--json")
+        expected = run_bench(BenchConfig(digits=3, samples=2, seed=1)).summary()
+        # the mean time is measured afresh on each run; only its type can match
+        assert isinstance(doc.pop("total_ms_mean"), float)
+        del expected["total_ms_mean"]
+        self.assert_document(doc, expected)
+
+    def test_compute_literal_line(self, capsys):
+        code, out, _ = run(capsys, "compute", "3", "5", "7", "--json")
+        assert code == 0
+        assert out == (
+            '{"input": ["3", "5", "7"], "g": "4", "f_pos": "19", "candidate_A": "19", '
+            '"candidate_B": "17", "degenerate_member": null, "certificates": ['
+            '{"target": "3", "m": "4", "u": "1", "w": "1", "pair": ["5", "7"]}, '
+            '{"target": "5", "m": "2", "u": "1", "w": "1", "pair": ["3", "7"]}, '
+            '{"target": "7", "m": "2", "u": "3", "w": "1", "pair": ["3", "5"]}], '
+            '"decompositions": ['
+            '{"generator": "3", "multiplier": "4", "partner": "7", "partner_coeff": "1"}, '
+            '{"generator": "5", "multiplier": "2", "partner": "3", "partner_coeff": "3"}, '
+            '{"generator": "7", "multiplier": "2", "partner": "5", "partner_coeff": "1"}]}\n')
 
 
 class TestUsage:

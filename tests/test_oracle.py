@@ -79,6 +79,13 @@ class TestOracleFrobenius:
         with pytest.raises(InvalidInputError):
             oracle_frobenius((4, 6, 9))
 
+    def test_unknown_convention(self):
+        with pytest.raises(InvalidInputError):
+            oracle_frobenius((3, 5, 7), "weird")
+        # checked with the inputs, before the guard and the table
+        with pytest.raises(InvalidInputError):
+            oracle_frobenius((MAX_MODULUS + 1, MAX_MODULUS + 2, MAX_MODULUS + 3), "weird")
+
     def test_convention_shift(self):
         for triple in ((3, 5, 7), (5, 7, 9), (7, 9, 11)):
             assert (oracle_frobenius(triple, "positive")
@@ -126,3 +133,14 @@ class TestOracleRepresentable:
     def test_unknown_convention(self):
         with pytest.raises(InvalidInputError):
             oracle_representable(5, (3, 5, 7), "weird")
+
+    def test_rejects_bad_generators_for_every_n(self):
+        # the generators are checked before n decides anything, as residue_table checks them
+        for gens in ((), (1,), (1, 5), (0, 3), (3, 5, 1)):
+            for n in (0, 1, 3, 4, 100):
+                for convention in ("nonneg", "positive"):
+                    with pytest.raises(InvalidInputError):
+                        oracle_representable(n, gens, convention)
+        for gens in ((), (1, 5)):
+            with pytest.raises(InvalidInputError):
+                residue_table(gens)

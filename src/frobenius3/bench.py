@@ -1,16 +1,17 @@
 """Benchmark harness: random pairwise-coprime triples at a given digit size,
 the step and iteration counts of each triple's one walk and phase timings, CSV
-and summary reporting.
+and summary reporting.  run_bench only measures; `frob3 bench --csv` writes the CSV.
 
 Step and iteration counts are deterministic given (seed, sample index); wall
-times are reported but never asserted.
+times are reported but never asserted.  Sample i's triple is
+random_coprime_triple(digits, random.Random(f"{seed}:{i}")).generators.
 """
 
 import csv
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidInputError
 from .solver import ValidatedTriple, assemble_result, least_multiples_all, validate_triple
@@ -24,8 +25,6 @@ class BenchConfig:
     digits: int
     samples: int
     seed: int
-    output_path: str | None = None
-    dump_full_values: bool = False
 
     def __post_init__(self):
         if self.digits < 2:
@@ -37,20 +36,17 @@ class BenchConfig:
 @dataclass(frozen=True)
 class BenchRecord:
     sample_index: int
-    digits: int
-    steps: int  # of the one walk (a2 over (a1, a3)) that gives all three least multiples
-    walk_ms: float  # least_multiples_all alone; total_ms spans it and assembly
-    assemble_ms: float
-    total_ms: float
-    triple_digest: str
     triple: tuple[int, int, int]
+    steps: int  # of the one walk (a2 over (a1, a3)) that gives all three least multiples
     iterations: int  # of the same walk, one per partial quotient (a k = 2 run is one)
+    walk_ms: float  # least_multiples_all alone
+    assemble_ms: float  # assemble_result, from the walk's end; total_ms is the sum
 
 
 @dataclass
 class BenchReport:
     config: BenchConfig
-    records: list[BenchRecord] = field(default_factory=list)
+    records: list[BenchRecord]
 
     def summary(self) -> dict:
         def stats(values):
@@ -63,7 +59,7 @@ class BenchReport:
             "seed": self.config.seed,
             "steps": stats([r.steps for r in self.records]),
             "iterations": stats([r.iterations for r in self.records]),
-            "total_ms_mean": statistics.fmean(r.total_ms for r in self.records),
+            "total_ms_mean": statistics.fmean(r.walk_ms + r.assemble_ms for r in self.records),
         }
 
 
@@ -90,58 +86,33 @@ def random_coprime_triple(digits: int, rng: random.Random) -> ValidatedTriple:
             return t
 
 
-def _sample_rng(seed: int, index: int) -> random.Random:
-    # independent per-sample stream so samples could run concurrently
-    return random.Random(f"{seed}:{index}")
-
-
 def run_sample(config: BenchConfig, index: int) -> BenchRecord:
-    rng = _sample_rng(config.seed, index)
-    t = random_coprime_triple(config.digits, rng)
-    triple = t.generators
+    # an independent stream per sample: sample i's triple does not depend on the others
+    t = random_coprime_triple(config.digits, random.Random(f"{config.seed}:{index}"))
     t_start = time.perf_counter()
     certs, trace = least_multiples_all(t)
     t_walk = time.perf_counter()
-    result = assemble_result(t, certs)
+    assemble_result(t, certs)
     t_end = time.perf_counter()
-    assert result.f_pos > result.g  # certificates stay live during benchmarking
-    digest = "|".join(_digest(n, config.digits) for n in triple)
-    return BenchRecord(
-        sample_index=index,
-        digits=config.digits,
-        steps=trace.n_steps,
-        walk_ms=(t_walk - t_start) * 1e3,
-        assemble_ms=(t_end - t_walk) * 1e3,
-        total_ms=(t_end - t_start) * 1e3,
-        triple_digest=digest,
-        triple=triple,
-        iterations=trace.iterations,
-    )
+    return BenchRecord(sample_index=index, triple=t.generators, steps=trace.n_steps,
+                       iterations=trace.iterations, walk_ms=(t_walk - t_start) * 1e3,
+                       assemble_ms=(t_end - t_walk) * 1e3)
 
 
 def run_bench(config: BenchConfig) -> BenchReport:
-    report = BenchReport(config=config)
-    for i in range(config.samples):
-        report.records.append(run_sample(config, i))
-    if config.output_path:
-        write_csv(report, config.output_path)
-    return report
+    return BenchReport(config, [run_sample(config, i) for i in range(config.samples)])
 
 
 def write_csv(report: BenchReport, path: str) -> None:
-    columns = list(CSV_COLUMNS)
-    if report.config.dump_full_values:
-        columns.append("triple")
+    digits = report.config.digits
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(CSV_COLUMNS)
         for r in report.records:
-            row = [r.sample_index, r.digits, r.steps,
-                   f"{r.walk_ms:.3f}", f"{r.assemble_ms:.3f}", f"{r.total_ms:.3f}",
-                   r.triple_digest, r.iterations]
-            if report.config.dump_full_values:
-                row.append(";".join(str(n) for n in r.triple))
-            writer.writerow(row)
+            writer.writerow([r.sample_index, digits, r.steps,
+                             f"{r.walk_ms:.3f}", f"{r.assemble_ms:.3f}",
+                             f"{r.walk_ms + r.assemble_ms:.3f}",
+                             "|".join(_digest(n, digits) for n in r.triple), r.iterations])
 
 
 def summary_text(report: BenchReport) -> str:

@@ -10,11 +10,11 @@ import json
 import math
 import sys
 
-from .bench import BenchConfig, run_bench, summary_text
+from .bench import BenchConfig, run_bench, summary_text, write_csv
 from .errors import InvalidInputError, InvariantViolation
 from .oracle import NONNEG, oracle_frobenius, oracle_least_multiple
 from .solver import frobenius, result_to_json
-from .walk import WalkInput, find_least_multiple, trace_table, trace_to_json
+from .walk import WalkInput, certificate_to_json, find_least_multiple, trace_table, trace_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--json", action="store_true", help="print the summary as JSON")
-    p.add_argument("--full-values", action="store_true",
-                   help="include full generator values in the CSV")
     return parser
 
 
@@ -107,9 +105,7 @@ def cmd_least_multiple(args) -> int:
     x, y = (parse_bigint(s) for s in args.pair)
     cert, trace = find_least_multiple(WalkInput(b=target, a=x, c=y))
     if args.json:
-        out = {"certificate": {"m": str(cert.m), "u": str(cert.u), "w": str(cert.w),
-                               "target": str(cert.target),
-                               "pair": [str(cert.pair_a), str(cert.pair_c)]}}
+        out = {"certificate": certificate_to_json(cert)}
         if args.trace:
             out["trace"] = trace_to_json(trace)
         print(json.dumps(out))
@@ -162,12 +158,13 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        config = BenchConfig(digits=args.digits, samples=args.samples, seed=args.seed,
-                             output_path=args.csv, dump_full_values=args.full_values)
+        config = BenchConfig(digits=args.digits, samples=args.samples, seed=args.seed)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = run_bench(config)
+    if args.csv:
+        write_csv(report, args.csv)
     if args.json:
         print(json.dumps(report.summary()))
     else:

@@ -93,10 +93,12 @@ def _positive_pair_decomposition(n: int, x: int, y: int):
 
 def oracle_least_multiple(target: int, pair) -> MultipleCertificate:
     """Scan m = 1, 2, ... for the first m*target positively representable by the pair."""
+    if len(pair) != 2:
+        raise InvalidInputError("oracle_least_multiple expects a pair of two generators")
     x, y = sorted(pair)
+    check_generators(target, x, y)
     if x * y > MAX_PAIR_PRODUCT:
         raise OracleBoundExceeded(f"pair product {x * y} exceeds oracle guard")
-    check_generators(target, x, y)
     for m in range(1, x * y + 1):
         hit = _positive_pair_decomposition(m * target, x, y)
         if hit is not None:

@@ -16,7 +16,8 @@ a result is returned (assemble_result).
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, InvariantViolation, check_generators
-from .walk import MultipleCertificate, WalkInput, WalkTrace, find_least_multiple
+from .walk import (MultipleCertificate, WalkInput, WalkTrace, certificate_to_json,
+                   find_least_multiple)
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,9 @@ def frobenius(x1: int, x2: int, x3: int) -> FrobeniusResult:
 
 
 def result_to_json(res: FrobeniusResult) -> dict:
-    """JSON-friendly result dict; all big integers as decimal strings."""
+    """JSON-friendly result dict; all big integers as decimal strings.  f_pos has about 1.5
+    times the generators' digits: past 4,300 digits str() raises ValueError unless the caller
+    has run sys.set_int_max_str_digits(0), as frob3 does (the library leaves it alone)."""
     out = {
         "input": [str(res.a1), str(res.a2), str(res.a3)],
         "g": str(res.g),
@@ -184,11 +187,7 @@ def result_to_json(res: FrobeniusResult) -> dict:
         "decompositions": None,
     }
     if res.certificates is not None:
-        out["certificates"] = [
-            {"target": str(c.target), "m": str(c.m), "u": str(c.u), "w": str(c.w),
-             "pair": [str(c.pair_a), str(c.pair_c)]}
-            for c in res.certificates
-        ]
+        out["certificates"] = [certificate_to_json(c) for c in res.certificates]
     if res.decompositions is not None:
         out["decompositions"] = [
             {"generator": str(d.generator), "multiplier": str(d.multiplier),

@@ -213,8 +213,15 @@ def trace_table(trace: WalkTrace) -> str:
     return "\n".join(lines)
 
 
+def certificate_to_json(cert: MultipleCertificate) -> dict:
+    """JSON-friendly certificate; all integers as decimal strings."""
+    return {"target": str(cert.target), "m": str(cert.m), "u": str(cert.u), "w": str(cert.w),
+            "pair": [str(cert.pair_a), str(cert.pair_c)]}
+
+
 def trace_to_json(trace: WalkTrace) -> dict:
-    """JSON-friendly trace; all integers as decimal strings."""
+    """JSON-friendly trace; all integers as decimal strings.  Past 4,300 digits str()
+    raises ValueError unless the caller has run sys.set_int_max_str_digits(0), as frob3 does."""
     return {
         "input": {"b": str(trace.input.b), "a": str(trace.input.a), "c": str(trace.input.c)},
         "t0": str(trace.t0),

@@ -99,12 +99,10 @@ def test_criterion_5_small_fixtures():
     report(5, ok, f"(g357={r1.g}, g579={r2.g})")
 
 
-def test_criterion_6_step_count_flatness(tmp_path):
+def test_criterion_6_step_count_flatness():
     start = time.monotonic()
-    s100 = run_bench(BenchConfig(digits=100, samples=20, seed=42,
-                                 output_path=str(tmp_path / "steps_100d.csv"))).summary()
-    s1000 = run_bench(BenchConfig(digits=1000, samples=20, seed=42,
-                                  output_path=str(tmp_path / "steps_1000d.csv"))).summary()
+    s100 = run_bench(BenchConfig(digits=100, samples=20, seed=42)).summary()
+    s1000 = run_bench(BenchConfig(digits=1000, samples=20, seed=42)).summary()
     elapsed = time.monotonic() - start
     mean100, mean1000 = s100["steps"]["mean"], s1000["steps"]["mean"]
     ratio = mean1000 / mean100

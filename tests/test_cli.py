@@ -175,6 +175,12 @@ class TestBench:
         code, _, _ = run(capsys, "bench", "--digits", "1", "--samples", "2")
         assert code == 1
 
+    def test_full_values_removed_exit_1(self, capsys):
+        # a row's triple is rebuilt from (digits, seed, sample_index); see README
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--digits", "3", "--samples", "2", "--full-values"])
+        assert exc.value.code == 1
+
     def test_csv_into_missing_directory_exit_5(self, capsys, tmp_path):
         code, out, err = run(capsys, "bench", "--digits", "3", "--samples", "2",
                              "--csv", str(tmp_path / "missing" / "out.csv"))
@@ -209,7 +215,7 @@ class TestJsonOutput:
 
     def test_least_multiple(self, capsys):
         _, trace = find_least_multiple(WalkInput(b=8231, a=7523, c=9533))
-        expected = {"certificate": {"m": "64", "u": "13", "w": "45", "target": "8231",
+        expected = {"certificate": {"target": "8231", "m": "64", "u": "13", "w": "45",
                                     "pair": ["7523", "9533"]}}
         argv = ("least-multiple", "8231", "--pair", "7523", "9533", "--json")
         self.assert_document(self.one_document(capsys, *argv), expected)

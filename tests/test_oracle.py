@@ -107,6 +107,17 @@ class TestOracleLeastMultiple:
         assert cert.m * 11 == cert.u * 6 + cert.w * 35
         assert cert.u >= 1 and cert.w >= 1
 
+    # invalid inputs are rejected as such, before the guard looks at the pair product
+    @pytest.mark.parametrize("target, pair", [(4, (10**5, 10**5)), (1, (10**5, 10**5 + 1)),
+                                              (5, (3, 7, 11))])
+    def test_checks_inputs_before_guard(self, target, pair):
+        with pytest.raises(InvalidInputError):
+            oracle_least_multiple(target, pair)
+
+    def test_guard(self):
+        with pytest.raises(OracleBoundExceeded):
+            oracle_least_multiple(3, (10**5, 10**5 + 1))
+
 
 class TestOracleRepresentable:
     def test_examples(self):

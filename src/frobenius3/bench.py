@@ -11,7 +11,7 @@ import csv
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidInputError
 from .solver import ValidatedTriple, assemble_result, least_multiples_all, validate_triple
@@ -20,33 +20,29 @@ CSV_COLUMNS = ["sample_index", "digits", "steps", "walk_ms", "assemble_ms", "tot
                "triple_digest", "iterations"]
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    digits: int
-    samples: int
-    seed: int
+class BenchConfig(namedtuple("BenchConfig", "digits samples seed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.digits < 2:
+    def __new__(cls, digits: int, samples: int, seed: int):
+        if digits < 2:
             raise InvalidInputError("digits must be >= 2")
-        if self.samples < 1:
+        if samples < 1:
             raise InvalidInputError("samples must be >= 1")
+        return super().__new__(cls, digits, samples, seed)
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    sample_index: int
-    triple: tuple[int, int, int]
-    steps: int  # of the one walk (a2 over (a1, a3)) that gives all three least multiples
-    iterations: int  # of the same walk, one per partial quotient (a k = 2 run is one)
-    walk_ms: float  # least_multiples_all alone
-    assemble_ms: float  # assemble_result, from the walk's end; total_ms is the sum
+BenchRecord = namedtuple("BenchRecord", [
+    "sample_index",
+    "triple",
+    "steps",  # of the one walk (a2 over (a1, a3)) that gives all three least multiples
+    "iterations",  # of the same walk, one per partial quotient (a k = 2 run is one)
+    "walk_ms",  # least_multiples_all alone
+    "assemble_ms",  # assemble_result, from the walk's end; total_ms is the sum
+])
 
 
-@dataclass
-class BenchReport:
-    config: BenchConfig
-    records: list[BenchRecord]
+class BenchReport(namedtuple("BenchReport", "config records")):
+    __slots__ = ()
 
     def summary(self) -> dict:
         def stats(values):
@@ -73,9 +69,8 @@ def _digest(n: int, digits: int) -> str:
 def random_coprime_triple(digits: int, rng: random.Random) -> ValidatedTriple:
     """Three odd `digits`-digit integers, pairwise coprime and non-degenerate, validated.
 
-    Draws until one is accepted: about half of all draws are, even at 2 digits."""
-    if digits < 2:
-        raise InvalidInputError("digits must be >= 2")
+    Draws until one is accepted: about half of all draws are, even at 2 digits.  digits >= 2
+    is the caller's to check, as BenchConfig does."""
     lo, hi = 10 ** (digits - 1), 10 ** digits
     while True:
         try:

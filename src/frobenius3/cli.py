@@ -10,7 +10,6 @@ import json
 import math
 import sys
 
-from .bench import BenchConfig, run_bench, summary_text, write_csv
 from .errors import InvalidInputError, InvariantViolation
 from .oracle import NONNEG, oracle_frobenius, oracle_least_multiple
 from .solver import frobenius, result_to_json
@@ -157,6 +156,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # the harness (statistics, csv, random) loads here, not on every command's import
+    from .bench import BenchConfig, run_bench, summary_text, write_csv
+
     try:
         config = BenchConfig(digits=args.digits, samples=args.samples, seed=args.seed)
     except InvalidInputError as exc:

@@ -13,22 +13,19 @@ Herzog's relations with the 2x2-minor check prove the multiples least before
 a result is returned (assemble_result).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidInputError, InvariantViolation, check_generators
 from .walk import (MultipleCertificate, WalkInput, WalkTrace, certificate_to_json,
                    find_least_multiple)
 
 
-@dataclass(frozen=True)
-class ValidatedTriple:
+class ValidatedTriple(namedtuple("ValidatedTriple", "a1 a2 a3 degenerate_member",
+                                 defaults=(None,))):
     """Sorted pairwise-coprime generators; degenerate_member indexes a generator
     that is positively representable by the other two (only a3 can be)."""
 
-    a1: int
-    a2: int
-    a3: int
-    degenerate_member: int | None = None
+    __slots__ = ()
 
     @property
     def generators(self) -> tuple[int, int, int]:
@@ -43,31 +40,21 @@ class ValidatedTriple:
         return self.degenerate_member is not None
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "generator multiplier partner partner_coeff")):
     """f_pos = multiplier*generator + partner_coeff*partner, both coefficients >= 1.
 
     multiplier*generator is the least multiple of `generator` representable
     by the other two (the certificate value)."""
 
-    generator: int
-    multiplier: int
-    partner: int
-    partner_coeff: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FrobeniusResult:
-    a1: int
-    a2: int
-    a3: int
-    g: int
-    f_pos: int
-    candidate_a: int | None = None
-    candidate_b: int | None = None
-    certificates: tuple[MultipleCertificate, MultipleCertificate, MultipleCertificate] | None = None
-    decompositions: tuple[Decomposition, Decomposition, Decomposition] | None = None
-    degenerate_member: int | None = None
+# certificates and decompositions hold three each, in generator order; a degenerate triple
+# sets only a1, a2, a3, g, f_pos and degenerate_member
+class FrobeniusResult(namedtuple(
+        "FrobeniusResult", "a1 a2 a3 g f_pos candidate_a candidate_b certificates decompositions "
+        "degenerate_member", defaults=(None,) * 5)):
+    __slots__ = ()
 
     @property
     def degenerate(self) -> bool:

@@ -17,39 +17,29 @@ before the last; solver.least_multiples_all reads the least multiples of a and c
 off the two rows.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvariantViolation, StepBudgetExceeded, check_generators
 
 
-@dataclass(frozen=True)
-class WalkInput:
+class WalkInput(namedtuple("WalkInput", "b a c")):
     """Target b and the pair (a, c) it must be combined from; all pairwise coprime.
 
     The pair is stored in ascending order, a < c, so the walk's modulus c is the
     larger element and the least multiplier lies below it."""
 
-    b: int
-    a: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, c = sorted((self.a, self.c))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-        check_generators(self.a, self.b, self.c)
+    def __new__(cls, b: int, a: int, c: int):
+        a, c = sorted((a, c))
+        check_generators(a, b, c)
+        return super().__new__(cls, b, a, c)
 
 
-@dataclass(frozen=True)
-class WalkStep:
-    k: int
-    p: int
-    v: int
-    q: int
+WalkStep = namedtuple("WalkStep", "k p v q")
 
 
-@dataclass(frozen=True)
-class WalkTrace:
+class WalkTrace(namedtuple("WalkTrace", "input t0 p0 n_steps penultimate iterations k2_run_max")):
     """Initialization values, counts and next-to-last row of a finished walk.
 
     `penultimate` is the (p, v, q) of row n_steps - 1, the last row with q >= 0
@@ -58,13 +48,7 @@ class WalkTrace:
     (k_i, p_i, v_i, q_i) rows are not stored: `steps` replays the walk from `input`,
     `t0` and `p0` and expands each run into its rows when a caller asks for them."""
 
-    input: WalkInput
-    t0: int
-    p0: int
-    n_steps: int
-    penultimate: tuple[int, int, int]
-    iterations: int
-    k2_run_max: int
+    __slots__ = ()
 
     @property
     def inv_p0(self) -> int:
@@ -81,8 +65,7 @@ class WalkTrace:
             for i in range(j - 1, -1, -1))
 
 
-@dataclass(frozen=True)
-class MultipleCertificate:
+class MultipleCertificate(namedtuple("MultipleCertificate", "m u w target pair_a pair_c")):
     """Witness that m*target = u*pair_a + w*pair_c with u, w >= 1.
 
     The identity is re-checked with exact arithmetic at construction.  The
@@ -91,21 +74,15 @@ class MultipleCertificate:
     proved least.
     """
 
-    m: int
-    u: int
-    w: int
-    target: int
-    pair_a: int
-    pair_c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1 or self.u < 1 or self.w < 1:
+    def __new__(cls, m: int, u: int, w: int, target: int, pair_a: int, pair_c: int):
+        if m < 1 or u < 1 or w < 1:
+            raise InvariantViolation(f"certificate coefficients must be >= 1: m={m}, u={u}, w={w}")
+        if m * target != u * pair_a + w * pair_c:
             raise InvariantViolation(
-                f"certificate coefficients must be >= 1: m={self.m}, u={self.u}, w={self.w}")
-        if self.m * self.target != self.u * self.pair_a + self.w * self.pair_c:
-            raise InvariantViolation(
-                f"certificate identity fails: {self.m}*{self.target} != "
-                f"{self.u}*{self.pair_a} + {self.w}*{self.pair_c}")
+                f"certificate identity fails: {m}*{target} != {u}*{pair_a} + {w}*{pair_c}")
+        return super().__new__(cls, m, u, w, target, pair_a, pair_c)
 
     @property
     def value(self) -> int:

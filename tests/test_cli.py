@@ -1,8 +1,12 @@
 import itertools
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from frobenius3 import cli
 from frobenius3.bench import BenchConfig, run_bench
 from frobenius3.cli import build_parser, main, parse_bigint
 from frobenius3.errors import InvalidInputError
@@ -285,3 +289,17 @@ class TestExitCodeContract:
                          ["least-multiple", x, "--pair", y, z, "--trace", "--json"]):
                 assert main(argv) in (0, 2), argv
             capsys.readouterr()
+
+
+class TestImportCost:
+    # every frob3 process pays for these; only frob3 bench needs the harness
+    UNNEEDED = ("dataclasses", "inspect", "typing", "frobenius3.bench", "statistics", "csv")
+
+    def test_cli_import_skips_unneeded_modules(self):
+        # -S: no site-packages .pth file may preload a module and hide the package's own import
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import frobenius3.cli; "
+                f"print(' '.join(m for m in {self.UNNEEDED!r} if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-S", "-I", "-c", code, src],
+                              capture_output=True, text=True, check=True, timeout=60)
+        assert proc.stdout.split() == []

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import itertools
 import json
@@ -208,8 +207,9 @@ class TestCongruenceSystems:
             t = validate_triple(*triple)
             certs, _ = least_multiples_all(t)
             for pos, c in enumerate(certs):
-                for bad in (dataclasses.replace(c, m=c.m + c.pair_a, u=c.u + c.target),
-                            dataclasses.replace(c, m=c.m + c.pair_c, w=c.w + c.target)):
+                m, u, w, target, x, y = c
+                for bad in (MultipleCertificate(m + x, u + target, w, target, x, y),
+                            MultipleCertificate(m + y, u, w + target, target, x, y)):
                     tampered = certs[:pos] + (bad,) + certs[pos + 1:]
                     with pytest.raises(InvariantViolation):
                         assemble_result(t, tampered)
@@ -325,6 +325,24 @@ class TestResultProperties:
             for g in vals:
                 assert oracle_representable(r.f_pos + g, vals, "positive")
             checked += 1
+
+
+class TestRecordTypes:
+    @pytest.mark.parametrize("kind, field", [("certificate", "m"), ("trace", "n_steps"),
+                                             ("result", "g")])
+    def test_read_only(self, kind, field):
+        certs, trace = least_multiples_all(validate_triple(3, 5, 7))
+        record = {"certificate": certs[0], "trace": trace, "result": frobenius(3, 5, 7)}[kind]
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_unpack_in_field_order(self):
+        (c1, _, _), trace = least_multiples_all(validate_triple(3, 5, 7))
+        assert c1 == (c1.m, c1.u, c1.w, 3, 5, 7)
+        assert trace.input == (5, 3, 7)
+        assert frobenius(3, 5, 7)[:5] == (3, 5, 7, 4, 19)
 
 
 class TestClosedForms:

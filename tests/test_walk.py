@@ -88,6 +88,8 @@ class TestWalkInput:
         inp = WalkInput(b=11, a=3, c=2)
         assert (inp.b, inp.a, inp.c) == (11, 2, 3)
         assert inp == WalkInput(b=11, a=2, c=3)
+        inp = WalkInput(b=5, a=7, c=3)
+        assert (inp.b, inp.a, inp.c) == (5, 3, 7)
 
 
 class TestInitWalk:
@@ -297,12 +299,13 @@ class TestTraceInvariants:
 
 class TestCertificate:
     def test_identity_enforced(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="identity fails"):
             MultipleCertificate(m=2, u=1, w=1, target=5, pair_a=3, pair_c=8)
 
     def test_positivity_enforced(self):
-        with pytest.raises(InvariantViolation):
-            MultipleCertificate(m=1, u=0, w=1, target=7, pair_a=3, pair_c=7)
+        for m, u, w in ((1, 0, 1), (0, 1, 1), (1, 1, 0)):
+            with pytest.raises(InvariantViolation, match="must be >= 1"):
+                MultipleCertificate(m=m, u=u, w=w, target=7, pair_a=3, pair_c=7)
 
     def test_value(self):
         cert, _ = find_least_multiple(GOLDEN)

@@ -35,10 +35,14 @@ class TestRandomCoprimeTriple:
             triple = random_coprime_triple(digits, random.Random(0))
             assert all(len(str(n)) == digits for n in triple.generators)
 
+    def test_rejects_one_digit(self):
+        # random_coprime_triple trusts its caller; a one-digit draw is refused at the config
+        with pytest.raises(InvalidInputError):
+            bench.run_sample(BenchConfig(digits=1, samples=1, seed=0), 0)
+
 
 class TestBenchConfig:
     def test_validation(self):
-        # the only digits check: random_coprime_triple trusts its caller's validated config
         assert BenchConfig(digits=2, samples=1, seed=0) == (2, 1, 0)
         with pytest.raises(InvalidInputError):
             BenchConfig(digits=1, samples=5, seed=0)

@@ -1,8 +1,10 @@
-"""Brute-force ground truth for small inputs.
+"""Ground truth for small inputs.
 
-Everything here is computed by a residue table or exhaustive search and shares
-no logic with the walk/certificate fast path; it exists so that the fast path
-can be validated against an independent reference in tests and `frob3 verify`.
+Everything here is read off a Brauer–Shockley residue table or, for a pair, its
+two-generator closed form (Sylvester's criterion). It exists so that the walk/certificate
+fast path can be validated against an independent reference in tests and `frob3 verify`:
+oracle_least_multiple tests each candidate multiple against the definition, where the
+walk develops a continued fraction. The two share a library inverse, not logic.
 """
 
 import math
@@ -12,7 +14,8 @@ from .walk import MultipleCertificate
 
 # oracle_frobenius refuses a least generator (the table's modulus) above this
 MAX_MODULUS = 10**6
-# oracle_least_multiple's search runs up to the pair product
+# oracle_least_multiple refuses a pair product above this; its scan stops below the larger
+# element, and the guard keeps its value so that every input is accepted or refused as before
 MAX_PAIR_PRODUCT = 10**8
 
 NONNEG = "nonneg"
@@ -82,30 +85,32 @@ def oracle_frobenius(generators, convention: str = NONNEG) -> int:
     return g + sum(gens) if convention == POSITIVE else g
 
 
-def _positive_pair_decomposition(n: int, x: int, y: int):
-    """Smallest-u solution of n = u*x + w*y with u, w >= 1, or None. Pure search:
-    w runs down from its largest value with u >= 1, so the first hit has the least u."""
-    for w in range((n - x) // y, 0, -1):
-        if (n - w * y) % x == 0:
-            return (n - w * y) // x, w
-    return None
-
-
 def oracle_least_multiple(target: int, pair) -> MultipleCertificate:
-    """Scan m = 1, 2, ... for the first m*target positively representable by the pair."""
+    """Least m >= 1 with m*target = u*x + w*y, u, w >= 1, for the pair x < y, and its least u.
+
+    Sylvester's criterion (1884) tests each n = m*target: let u = (n*x^-1 - 1) mod y + 1,
+    the least u >= 1 with u*x = n (mod y). Any solution u' >= 1 of n = u'*x + w'*y has
+    u' = u (mod y), so u' >= u and n - u*x = w'*y + (u' - u)*x >= y; conversely
+    n - u*x >= y makes w = (n - u*x)/y >= 1. So n is a positive combination of x and y
+    iff n - u*x >= y, and then this u is the least of any such combination.
+
+    The least m is below y. m0 = x*target^-1 mod y lies in [1, y), as y does not divide x,
+    and m0*target = x + w*y for some w. w != 0, as target >= 2 is coprime to x and does not
+    divide it, and w >= 1, as m0*target > 0 > x - y. So m0 passes with u = 1."""
     if len(pair) != 2:
         raise InvalidInputError("oracle_least_multiple expects a pair of two generators")
     x, y = sorted(pair)
     check_generators(target, x, y)
     if x * y > MAX_PAIR_PRODUCT:
         raise OracleBoundExceeded(f"pair product {x * y} exceeds oracle guard")
-    for m in range(1, x * y + 1):
-        hit = _positive_pair_decomposition(m * target, x, y)
-        if hit is not None:
-            u, w = hit
-            return MultipleCertificate(m=m, u=u, w=w, target=target, pair_a=x, pair_c=y)
-    raise InvariantViolation(
-        f"no multiple of {target} representable by ({x}, {y}) within the pair bound")
+    x_inv = pow(x, -1, y)
+    for m in range(1, y):
+        n = m * target
+        u = (n * x_inv - 1) % y + 1
+        if n - u * x >= y:
+            return MultipleCertificate(m=m, u=u, w=(n - u * x) // y,
+                                       target=target, pair_a=x, pair_c=y)
+    raise InvariantViolation(f"no multiple of {target} below {y} is representable by ({x}, {y})")
 
 
 def oracle_representable(n: int, generators, convention: str = NONNEG) -> bool:

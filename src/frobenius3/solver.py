@@ -66,7 +66,9 @@ def validate_triple(x1: int, x2: int, x3: int) -> ValidatedTriple:
 
     Only a3 can be a positive combination u*a1 + w*a2 of the other two.  The least
     u >= 1 with u*a1 = a3 (mod a2) is a3*a1^-1 mod a2 (never 0: a2 does not divide
-    a3), and a3 is such a combination iff a3 - u*a1 >= a2 for that u."""
+    a3), and a3 is such a combination iff a3 - u*a1 >= a2 for that u.  This is Sylvester's
+    criterion; oracle_least_multiple keeps its own copy, as a reference shares no code
+    with the path it checks."""
     a1, a2, a3 = sorted((x1, x2, x3))
     check_generators(a1, a2, a3)
     degenerate = a3 >= a1 + a2 and a3 - a3 * pow(a1, -1, a2) % a2 * a1 >= a2

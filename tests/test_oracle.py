@@ -13,6 +13,7 @@ from frobenius3.oracle import (
     residue_table,
 )
 from frobenius3.solver import frobenius
+from frobenius3.walk import WalkInput, find_least_multiple
 
 
 class TestResidueTable:
@@ -114,9 +115,29 @@ class TestOracleLeastMultiple:
         with pytest.raises(InvalidInputError):
             oracle_least_multiple(target, pair)
 
+    def test_matches_definition(self):
+        # the definition as a plain double scan: m = 1, 2, ..., and for each m, w down from
+        # its largest value, so that the first hit has the least u
+        def least_multiple(b, x, y):
+            for m in itertools.count(1):
+                for w in range((m * b - x) // y, 0, -1):
+                    if (m * b - w * y) % x == 0:
+                        return m, (m * b - w * y) // x, w
+
+        for b, x, y in itertools.product(range(2, 41), repeat=3):
+            if x < y and math.gcd(b, x) == math.gcd(b, y) == math.gcd(x, y) == 1:
+                cert = oracle_least_multiple(b, (x, y))
+                assert (cert.m, cert.u, cert.w) == least_multiple(b, x, y), (b, x, y)
+                assert cert.m < y
+
     def test_guard(self):
         with pytest.raises(OracleBoundExceeded):
             oracle_least_multiple(3, (10**5, 10**5 + 1))
+        # a pair product of exactly 10**8 is accepted, one of 100,001,024 is not
+        cert = oracle_least_multiple(3, (256, 390625))
+        assert cert.m == find_least_multiple(WalkInput(b=3, a=256, c=390625))[0].m
+        with pytest.raises(OracleBoundExceeded):
+            oracle_least_multiple(3, (256, 390629))
 
 
 class TestOracleRepresentable:

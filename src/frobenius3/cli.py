@@ -11,7 +11,7 @@ import math
 import sys
 
 from .errors import InvalidInputError, InvariantViolation
-from .oracle import NONNEG, oracle_frobenius, oracle_least_multiple
+from .oracle import MAX_MODULUS, NONNEG, oracle_frobenius, oracle_least_multiple
 from .solver import frobenius, result_to_json
 from .walk import WalkInput, certificate_to_json, find_least_multiple, trace_table, trace_to_json
 
@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustively compare fast path against the oracle")
     p.add_argument("--max", type=int, required=True, metavar="N",
-                   help="check all valid triples with largest generator <= N (N >= 10)")
+                   help="check all valid triples with largest generator <= N "
+                        f"(10 <= N <= {MAX_MODULUS})")
 
     p = sub.add_parser("bench", help="step-count/timing benchmark on random triples")
     p.add_argument("--digits", type=int, required=True)
@@ -129,6 +130,10 @@ def _iter_valid_triples(limit: int):
 def cmd_verify(args) -> int:
     if args.max < 10:
         print("error: --max must be >= 10", file=sys.stderr)
+        return EXIT_USAGE
+    # every oracle modulus is at most N: the table's a1 <= N - 2, the scan's y <= N
+    if args.max > MAX_MODULUS:
+        print(f"error: --max must be <= {MAX_MODULUS}, the oracle's guard", file=sys.stderr)
         return EXIT_USAGE
     triples = 0
     walks = 0

@@ -30,7 +30,7 @@ class StepBudgetExceeded(Frobenius3Error, RuntimeError):
 
 
 class OracleBoundExceeded(Frobenius3Error, ValueError):
-    """Input too large for the brute-force oracle: its table modulus or search range."""
+    """Input too large for the brute-force oracle: a table or scan modulus above MAX_MODULUS."""
 
 
 def check_generators(*values: int) -> None:

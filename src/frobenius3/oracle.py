@@ -1,69 +1,65 @@
 """Ground truth for small inputs.
 
-Everything here is read off a Brauer–Shockley residue table or, for a pair, its
-two-generator closed form (Sylvester's criterion). It exists so that the walk/certificate
-fast path can be validated against an independent reference in tests and `frob3 verify`:
-oracle_least_multiple tests each candidate multiple against the definition, where the
-walk develops a continued fraction. The two share a library inverse, not logic.
-"""
+An independent reference for the walk/certificate fast path, in tests and `frob3 verify`:
+oracle_frobenius and oracle_representable read a Brauer–Shockley residue table, and
+oracle_least_multiple tests each candidate multiple with Sylvester's two-generator criterion,
+where the walk develops a continued fraction. The two share a library inverse, not logic.
 
-import math
+The domain is the package's: at least two generators, pairwise coprime (errors.check_generators).
+One guard bounds every loop here: once the inputs are checked, a table or scan modulus above
+MAX_MODULUS raises OracleBoundExceeded.
+"""
 
 from .errors import InvalidInputError, InvariantViolation, OracleBoundExceeded, check_generators
 from .walk import MultipleCertificate
 
-# oracle_frobenius refuses a least generator (the table's modulus) above this
+# the one guard: the most turns of any oracle loop, so the largest table modulus a1
+# (residue_table) and the largest scan modulus y (oracle_least_multiple)
 MAX_MODULUS = 10**6
-# oracle_least_multiple refuses a pair product above this; its scan stops below the larger
-# element, and the guard keeps its value so that every input is accepted or refused as before
-MAX_PAIR_PRODUCT = 10**8
 
 NONNEG = "nonneg"
 POSITIVE = "positive"
 
 
-def _table_generators(generators) -> list:
-    """The generators in ascending order, once each is checked: at least one, all >= 2."""
+def _checked_generators(generators) -> list:
+    """The generators in ascending order, once checked: at least two, pairwise coprime."""
     gens = sorted(generators)
-    if not gens:
-        raise InvalidInputError("need at least one generator")
-    for g in gens:
-        if g < 2:
-            raise InvalidInputError(f"generators must be >= 2, got {g}")
+    if len(gens) < 2:
+        raise InvalidInputError("need at least two generators")
+    check_generators(*gens)
     return gens
 
 
 def residue_table(generators) -> list:
     """Brauer–Shockley table mod a1 = min(generators): entry r is the least nonnegative
-    combination of the generators congruent to r mod a1, or None if no combination is.
+    combination of the generators congruent to r mod a1.
 
-    Round robin (Böcker and Lipták 2007): for each further generator a, the residues
-    fall into gcd(a, a1) cycles of r -> r + a mod a1. One pass around a cycle relaxes
-    t[r + a] = min(t[r + a], t[r] + a). It starts at the cycle's least reached entry,
-    which no other entry plus a can lower, so each entry it reaches is already final."""
-    gens = _table_generators(generators)
-    a1 = gens[0]
-    table = [None] * a1
-    table[0] = 0
-    for a in gens[1:]:
+    The generators are at least two and pairwise coprime, and a1 is at most MAX_MODULUS.
+    With a2 alone, class k*a2 mod a1 first holds k*a2 (k < a1). Each further generator a
+    then takes one round-robin pass (Böcker and Lipták 2007): as a is prime to a1,
+    r -> r + a mod a1 is one cycle through every class, and the pass relaxes
+    t[r + a] = min(t[r + a], t[r] + a) around it from class 0. t[0] = 0 is the least entry,
+    which no other entry plus a can lower, so each entry the pass reaches is already final."""
+    gens = _checked_generators(generators)
+    a1, a2, *further = gens
+    if a1 > MAX_MODULUS:
+        raise OracleBoundExceeded(f"table modulus {a1} exceeds oracle guard {MAX_MODULUS}")
+    table = [0] * a1
+    for k in range(1, a1):
+        table[k * a2 % a1] = k * a2
+    for a in further:
         step = a % a1
-        cycles = math.gcd(step, a1)
-        for c in range(cycles):
-            reached = [r for r in range(c, a1, cycles) if table[r] is not None]
-            if not reached:
-                continue
-            r = min(reached, key=table.__getitem__)
-            n = table[r]
-            for _ in range(a1 // cycles - 1):
-                r += step
-                if r >= a1:
-                    r -= a1
-                n += a
-                least = table[r]
-                if least is None or n < least:
-                    table[r] = n
-                else:
-                    n = least
+        r = n = 0
+        for _ in range(a1 - 1):
+            r += step
+            if r >= a1:
+                r -= a1
+            n += a
+            least = table[r]
+            if n < least:
+                table[r] = n
+            else:
+                n = least
     return table
 
 
@@ -77,9 +73,6 @@ def oracle_frobenius(generators, convention: str = NONNEG) -> int:
     check_generators(*gens)
     if convention not in (NONNEG, POSITIVE):
         raise InvalidInputError(f"unknown convention {convention!r}")
-    if gens[0] > MAX_MODULUS:
-        raise OracleBoundExceeded(
-            f"least generator {gens[0]} exceeds oracle guard {MAX_MODULUS}")
     g = max(residue_table(gens)) - gens[0]
     # n is positive-representable iff n - total is nonneg-representable
     return g + sum(gens) if convention == POSITIVE else g
@@ -96,13 +89,14 @@ def oracle_least_multiple(target: int, pair) -> MultipleCertificate:
 
     The least m is below y. m0 = x*target^-1 mod y lies in [1, y), as y does not divide x,
     and m0*target = x + w*y for some w. w != 0, as target >= 2 is coprime to x and does not
-    divide it, and w >= 1, as m0*target > 0 > x - y. So m0 passes with u = 1."""
+    divide it, and w >= 1, as m0*target > 0 > x - y. So m0 passes with u = 1, and the scan
+    modulus y, at most MAX_MODULUS, bounds the scan."""
     if len(pair) != 2:
         raise InvalidInputError("oracle_least_multiple expects a pair of two generators")
     x, y = sorted(pair)
     check_generators(target, x, y)
-    if x * y > MAX_PAIR_PRODUCT:
-        raise OracleBoundExceeded(f"pair product {x * y} exceeds oracle guard")
+    if y > MAX_MODULUS:
+        raise OracleBoundExceeded(f"scan modulus {y} exceeds oracle guard {MAX_MODULUS}")
     x_inv = pow(x, -1, y)
     for m in range(1, y):
         n = m * target
@@ -117,15 +111,13 @@ def oracle_representable(n: int, generators, convention: str = NONNEG) -> bool:
     """Exact representability check: n is representable iff n >= table[n mod a1]."""
     if n < 0:
         raise InvalidInputError("n must be >= 0")
-    gens = _table_generators(generators)
+    gens = _checked_generators(generators)
     if convention == POSITIVE:
         # n is positive-representable iff n - total is nonneg-representable
         n -= sum(gens)
     elif convention != NONNEG:
         raise InvalidInputError(f"unknown convention {convention!r}")
     if n < gens[0]:
-        # below a1 only 0, the empty sum, is representable; this keeps the table no longer than n
+        # below a1 only 0, the empty sum, is representable; no table is built
         return n == 0
-    table = residue_table(gens)
-    least = table[n % gens[0]]
-    return least is not None and n >= least
+    return n >= residue_table(gens)[n % gens[0]]

@@ -20,10 +20,9 @@ from .walk import (MultipleCertificate, WalkInput, WalkTrace, certificate_to_jso
                    find_least_multiple)
 
 
-class ValidatedTriple(namedtuple("ValidatedTriple", "a1 a2 a3 degenerate_member",
-                                 defaults=(None,))):
-    """Sorted pairwise-coprime generators; degenerate_member indexes a generator
-    that is positively representable by the other two (only a3 can be)."""
+class ValidatedTriple(namedtuple("ValidatedTriple", "a1 a2 a3 degenerate")):
+    """Sorted pairwise-coprime generators; degenerate is whether a3 is positively
+    representable by a1 and a2 (only a3 can be by the other two)."""
 
     __slots__ = ()
 
@@ -34,10 +33,6 @@ class ValidatedTriple(namedtuple("ValidatedTriple", "a1 a2 a3 degenerate_member"
     @property
     def total(self) -> int:
         return self.a1 + self.a2 + self.a3
-
-    @property
-    def degenerate(self) -> bool:
-        return self.degenerate_member is not None
 
 
 class Decomposition(namedtuple("Decomposition", "generator multiplier partner partner_coeff")):
@@ -72,7 +67,7 @@ def validate_triple(x1: int, x2: int, x3: int) -> ValidatedTriple:
     a1, a2, a3 = sorted((x1, x2, x3))
     check_generators(a1, a2, a3)
     degenerate = a3 >= a1 + a2 and a3 - a3 * pow(a1, -1, a2) % a2 * a1 >= a2
-    return ValidatedTriple(a1, a2, a3, degenerate_member=2 if degenerate else None)
+    return ValidatedTriple(a1, a2, a3, degenerate)
 
 
 def least_multiples_all(t: ValidatedTriple) -> tuple[
@@ -155,8 +150,7 @@ def frobenius(x1: int, x2: int, x3: int) -> FrobeniusResult:
         # a3 is a positive combination of (a1, a2): the semigroup is unchanged (Sylvester)
         g = t.a1 * t.a2 - t.a1 - t.a2
         return FrobeniusResult(a1=t.a1, a2=t.a2, a3=t.a3,
-                               g=g, f_pos=g + t.total,
-                               degenerate_member=t.degenerate_member)
+                               g=g, f_pos=g + t.total, degenerate_member=2)
     certs, _ = least_multiples_all(t)
     return assemble_result(t, certs)
 

@@ -10,6 +10,7 @@ from frobenius3 import cli
 from frobenius3.bench import BenchConfig, run_bench
 from frobenius3.cli import build_parser, main, parse_bigint
 from frobenius3.errors import InvalidInputError
+from frobenius3.oracle import MAX_MODULUS
 from frobenius3.solver import frobenius, result_to_json
 from frobenius3.walk import WalkInput, find_least_multiple, trace_to_json
 
@@ -156,6 +157,17 @@ class TestVerify:
     def test_rejects_small_max(self, capsys):
         code, _, _ = run(capsys, "verify", "--max", "9")
         assert code == 1
+
+    def test_rejects_max_above_oracle_guard(self, capsys, monkeypatch):
+        # refused before the run, which would take years: a triple checked is a failure here
+        def no_triples(limit):
+            raise AssertionError("verify started the run")
+
+        monkeypatch.setattr(cli, "_iter_valid_triples", no_triples)
+        code, out, err = run(capsys, "verify", "--max", str(MAX_MODULUS + 1))
+        assert code == 1
+        assert out == ""
+        assert f"--max must be <= {MAX_MODULUS}" in err
 
 
 class TestBench:

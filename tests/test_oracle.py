@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from frobenius3.errors import InvalidInputError, OracleBoundExceeded
+from frobenius3.errors import InvalidInputError, NotPairwiseCoprimeError, OracleBoundExceeded
 from frobenius3.oracle import (
     MAX_MODULUS,
     oracle_frobenius,
@@ -28,12 +28,9 @@ class TestResidueTable:
                 assert table[(r + g) % 4] <= least + g
 
     def test_matches_definition(self):
-        # bounds run past each set's largest gap. (7,) leaves classes unreached, (6, 10, 15)
-        # is coprime only as a set, and (4, 7, 10) has a cycle (17 ≡ 1 mod 4, from 7 + 10)
-        # whose pass must start at its least entry, not its first
+        # bounds run past each set's largest gap
         for gens, bound in (((3, 5, 7), 60), ((3, 5, 7), 0), ((4, 7, 9), 200), ((2, 3), 20),
-                            ((6, 10, 15), 100), ((7,), 30), ((11, 13, 17), 150),
-                            ((4, 7, 10), 40)):
+                            ((11, 13, 17), 150), ((5, 7, 9, 11), 60)):
             for n in range(bound + 1):
                 expected = n == 0 or any(n >= g and oracle_representable(n - g, gens)
                                          for g in gens)
@@ -108,8 +105,8 @@ class TestOracleLeastMultiple:
         assert cert.m * 11 == cert.u * 6 + cert.w * 35
         assert cert.u >= 1 and cert.w >= 1
 
-    # invalid inputs are rejected as such, before the guard looks at the pair product
-    @pytest.mark.parametrize("target, pair", [(4, (10**5, 10**5)), (1, (10**5, 10**5 + 1)),
+    # invalid inputs are rejected as such, before the guard looks at the scan modulus
+    @pytest.mark.parametrize("target, pair", [(4, (10**7, 10**7)), (1, (10**7, 10**7 + 1)),
                                               (5, (3, 7, 11))])
     def test_checks_inputs_before_guard(self, target, pair):
         with pytest.raises(InvalidInputError):
@@ -131,13 +128,24 @@ class TestOracleLeastMultiple:
                 assert cert.m < y
 
     def test_guard(self):
+        # a scan modulus y of exactly MAX_MODULUS is accepted, one above it is not
+        cert = oracle_least_multiple(3, (7, MAX_MODULUS))
+        assert cert.m == find_least_multiple(WalkInput(b=3, a=7, c=MAX_MODULUS))[0].m == 333338
         with pytest.raises(OracleBoundExceeded):
-            oracle_least_multiple(3, (10**5, 10**5 + 1))
-        # a pair product of exactly 10**8 is accepted, one of 100,001,024 is not
-        cert = oracle_least_multiple(3, (256, 390625))
-        assert cert.m == find_least_multiple(WalkInput(b=3, a=256, c=390625))[0].m
-        with pytest.raises(OracleBoundExceeded):
-            oracle_least_multiple(3, (256, 390629))
+            oracle_least_multiple(3, (7, MAX_MODULUS + 1))
+
+    def test_matches_walk_on_balanced_pairs(self):
+        # 5- and 6-digit pairs with products above 10^8: the guard bounds the scan modulus y
+        rng = random.Random(23)
+        checked = 0
+        while checked < 8:
+            b, x, y = (rng.randrange(10**4, MAX_MODULUS + 1) for _ in range(3))
+            if x * y <= 10**8 or math.gcd(b, x * y) != 1 or math.gcd(x, y) != 1:
+                continue
+            cert = oracle_least_multiple(b, (x, y))
+            walk_cert = find_least_multiple(WalkInput(b=b, a=x, c=y))[0]
+            assert (cert.m, cert.u, cert.w) == (walk_cert.m, walk_cert.u, walk_cert.w), (b, x, y)
+            checked += 1
 
 
 class TestOracleRepresentable:
@@ -167,12 +175,25 @@ class TestOracleRepresentable:
             oracle_representable(5, (3, 5, 7), "weird")
 
     def test_rejects_bad_generators_for_every_n(self):
-        # the generators are checked before n decides anything, as residue_table checks them
-        for gens in ((), (1,), (1, 5), (0, 3), (3, 5, 1)):
+        # the generators are checked before n decides anything, as residue_table checks them:
+        # at least two, pairwise coprime. (6, 10, 15) is coprime only as a set
+        for gens in ((), (1,), (7,), (1, 5), (0, 3), (3, 5, 1), (6, 10, 15), (4, 7, 10)):
             for n in (0, 1, 3, 4, 100):
                 for convention in ("nonneg", "positive"):
                     with pytest.raises(InvalidInputError):
                         oracle_representable(n, gens, convention)
-        for gens in ((), (1, 5)):
             with pytest.raises(InvalidInputError):
                 residue_table(gens)
+        with pytest.raises(NotPairwiseCoprimeError):
+            oracle_representable(50, (6, 10, 15))
+
+    def test_guard(self):
+        # n >= a1 needs the table, whose modulus a1 is above the guard; n < a1 needs none
+        with pytest.raises(OracleBoundExceeded):
+            oracle_representable(3 * MAX_MODULUS, (MAX_MODULUS + 3, MAX_MODULUS + 4))
+        assert not oracle_representable(MAX_MODULUS, (MAX_MODULUS + 3, MAX_MODULUS + 4))
+        with pytest.raises(OracleBoundExceeded):
+            residue_table((MAX_MODULUS + 1, MAX_MODULUS + 2))
+        # the generators are checked before the guard
+        with pytest.raises(NotPairwiseCoprimeError):
+            residue_table((MAX_MODULUS + 2, MAX_MODULUS + 4))

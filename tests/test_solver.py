@@ -49,11 +49,11 @@ class TestValidateTriple:
     def test_sorts(self):
         t = validate_triple(7, 5, 3)
         assert t.generators == (3, 5, 7)
-        assert t.degenerate_member is None
+        assert t.degenerate is False
 
     def test_degenerate(self):
         t = validate_triple(3, 5, 8)
-        assert t.degenerate_member == 2  # 8 = 3 + 5
+        assert t.degenerate is True  # 8 = 3 + 5
 
     def test_degenerate_matches_definition(self):
         # degenerate exactly when a3 = u*a1 + w*a2 with u, w >= 1, on every triple up to 60

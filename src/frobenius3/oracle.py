@@ -66,11 +66,10 @@ def residue_table(generators) -> list:
 def oracle_frobenius(generators, convention: str = NONNEG) -> int:
     """Largest non-representable integer: the largest table entry minus the modulus a1,
     since every table entry t is the least representable number of its class and
-    t - a1 the largest one that is not."""
-    gens = tuple(sorted(generators))
+    t - a1 the largest one that is not; residue_table checks the generators and the guard."""
+    gens = sorted(generators)
     if len(gens) != 3:
         raise InvalidInputError("oracle_frobenius expects exactly three generators")
-    check_generators(*gens)
     if convention not in (NONNEG, POSITIVE):
         raise InvalidInputError(f"unknown convention {convention!r}")
     g = max(residue_table(gens)) - gens[0]

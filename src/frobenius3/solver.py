@@ -8,9 +8,9 @@ all-positive representation).  The classical Frobenius number is
 g = f_pos - (a1 + a2 + a3).
 
 Every result carries the three certificates and the three decompositions of
-f_pos.  The certificate identities are checked with exact arithmetic, and
-Herzog's relations with the 2x2-minor check prove the multiples least before
-a result is returned (assemble_result).
+f_pos.  Before a result is returned, one exact check in assemble_result proves
+the certificates' identities and that the multiples are least: their roles and
+signs, Herzog's relations and the 2x2 minors.
 """
 
 from collections import namedtuple
@@ -84,7 +84,7 @@ def least_multiples_all(t: ValidatedTriple) -> tuple[
     if t.degenerate:
         raise InvalidInputError("least multiples are only defined for non-degenerate triples")
     a1, a2, a3 = t.generators
-    c2, trace = find_least_multiple(WalkInput(b=a2, a=a1, c=a3))
+    c2, trace = find_least_multiple(WalkInput._make((a2, a1, a3)))  # t is validated
     p, v, q = trace.penultimate
     c1 = MultipleCertificate(m=p, u=v, w=q, target=a1, pair_a=a2, pair_c=a3)
     c3 = MultipleCertificate(m=q + c2.w, u=p - c2.u, w=c2.m - v, target=a3, pair_a=a1, pair_c=a2)
@@ -100,9 +100,13 @@ def assemble_result(t: ValidatedTriple,
     order: m1*a1 = u1*a2 + w1*a3, m2*a2 = u2*a1 + w2*a3, m3*a3 = u3*a1 + w3*a2, all m, u,
     w >= 1.  As relation vectors (r.a = 0 for a = (a1, a2, a3)) they are r1 = (m1, -u1, -w1),
     r2 = (-u2, m2, -w2) and r3 = (-u3, -w3, m3).  The check, InvariantViolation otherwise:
+      - each certificate's (target, pair_a, pair_c) is its slot's: (a1, a2, a3),
+        (a2, a1, a3), (a3, a1, a2), and all nine m, u, w are >= 1;
       - r1 + r2 + r3 = 0, Herzog's relations m1 = u2 + u3, m2 = u1 + w3, m3 = w1 + w2
         (Herzog 1970; Johnson 1960);
       - r1 x r2 = (u1*w2 + w1*m2, w1*u2 + m1*w2, m1*m2 - u1*u2) = a.
+    The identities need no check of their own: r1.(r1 x r2) = r2.(r1 x r2) = 0, so
+    r1 x r2 = a gives r1.a = r2.a = 0, and r3 = -r1 - r2 gives r3.a = 0.
     Passing proves each m least:
       1. The relations of the primitive vector a form a rank-2 lattice whose bases have
          cross product +-a, and a sublattice of index d has +-d*a; so r1 x r2 = a makes
@@ -124,7 +128,10 @@ def assemble_result(t: ValidatedTriple,
     the winning system's three forms are its decompositions."""
     (m1, u1, w1), (m2, u2, w2), (m3, u3, w3) = ((c.m, c.u, c.w) for c in certs)
     a1, a2, a3 = t.generators
-    if ((m1, m2, m3) != (u2 + u3, u1 + w3, w1 + w2)
+    roles = [(c.target, c.pair_a, c.pair_c) for c in certs]
+    if (roles != [(a1, a2, a3), (a2, a1, a3), (a3, a1, a2)]
+            or min(m1, u1, w1, m2, u2, w2, m3, u3, w3) < 1
+            or (m1, m2, m3) != (u2 + u3, u1 + w3, w1 + w2)
             or (u1 * w2 + w1 * m2, w1 * u2 + m1 * w2, m1 * m2 - u1 * u2) != (a1, a2, a3)):
         raise InvariantViolation(f"certificates are not the least multiples of {t.generators}")
     cand_a, cand_b = m1 * a1 + w2 * a3, m2 * a2 + w1 * a3

@@ -11,8 +11,8 @@ and in a run of them x_i - x_{i-1} is constant, so p, v and q move by fixed
 differences.  One division finds the step where k leaves 2 or q first turns
 negative, and the walk jumps there (_walk gives the argument).
 WalkInput stores the pair as a < c, and the certificate and the trace follow that
-order.  find_least_multiple counts the steps against the budget.  Every answer
-carries a certificate checked by exact arithmetic.  The trace keeps the row
+order.  find_least_multiple counts the steps against the budget and checks the
+certificate it returns with exact arithmetic.  The trace keeps the row
 before the last; solver.least_multiples_all reads the least multiples of a and c
 off the two rows.
 """
@@ -66,23 +66,11 @@ class WalkTrace(namedtuple("WalkTrace", "input t0 p0 n_steps penultimate iterati
 
 
 class MultipleCertificate(namedtuple("MultipleCertificate", "m u w target pair_a pair_c")):
-    """Witness that m*target = u*pair_a + w*pair_c with u, w >= 1.
-
-    The identity is re-checked with exact arithmetic at construction.  The
-    three certificates of a triple are proved least by solver.assemble_result's
-    relation and minor check; a lone certificate (frob3 least-multiple) is not
-    proved least.
-    """
+    """Witness that m*target = u*pair_a + w*pair_c with m, u, w >= 1; a plain record.
+    find_least_multiple checks the one it returns but does not prove it least;
+    solver.assemble_result proves a triple's three least, identities included."""
 
     __slots__ = ()
-
-    def __new__(cls, m: int, u: int, w: int, target: int, pair_a: int, pair_c: int):
-        if m < 1 or u < 1 or w < 1:
-            raise InvariantViolation(f"certificate coefficients must be >= 1: m={m}, u={u}, w={w}")
-        if m * target != u * pair_a + w * pair_c:
-            raise InvariantViolation(
-                f"certificate identity fails: {m}*{target} != {u}*{pair_a} + {w}*{pair_c}")
-        return super().__new__(cls, m, u, w, target, pair_a, pair_c)
 
     @property
     def value(self) -> int:
@@ -147,13 +135,15 @@ def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]
     The steps are counted here, j for each yielded run, against
     default_step_budget(c): StepBudgetExceeded is raised exactly when one step at
     a time would have taken more steps than the budget.
+    The certificate is checked once, at the end (m, u, w >= 1, v*b = p*a - q*c), and that
+    covers p0 = (b + c*t0) // a too: the defect δ_i = p_i*a - v_i*b - q_i*c follows the
+    walk's recurrence from δ_{-1} = 0 and δ_0 = -rem, as v does from (0, 1), so
+    δ_n = v_n·δ_0 with v_n >= 1, and any nonzero remainder rem fails the check.
     """
     b, a, c = inp.b, inp.a, inp.c
     # t0 = (-b * c^-1) mod a and p0 = (b + c*t0)/a, so p0*a = b (mod c)
     t0 = -b * pow(c, -1, a) % a
-    p0, rem = divmod(b + c * t0, a)
-    if rem != 0:
-        raise InvariantViolation(f"(b + c*t0) not divisible by a for {inp}")
+    p0 = (b + c * t0) // a
     # row 0 is (p0, 1, t0) with t0 >= 1 (a does not divide b): the walk takes a step
     max_steps = default_step_budget(c)
     n = iterations = k2_run_max = 0
@@ -164,6 +154,9 @@ def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]
         iterations += 1
         if k == 2 and j > k2_run_max:
             k2_run_max = j
+    if min(v, p, -q) < 1 or v * b != p * a - q * c:
+        raise InvariantViolation(f"walk certificate fails for {inp}: need m, u, w >= 1 and "
+                                 f"{v}*{b} = {p}*{a} + {-q}*{c}")
     cert = MultipleCertificate(m=v, u=p, w=-q, target=b, pair_a=a, pair_c=c)
     return cert, WalkTrace(input=inp, t0=t0, p0=p0, n_steps=n,
                            penultimate=(p_prev, v_prev, q_prev),

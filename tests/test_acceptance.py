@@ -12,7 +12,7 @@ import math
 import random
 import time
 
-from frobenius3.bench import BenchConfig, run_bench
+from frobenius3.bench import BenchConfig, random_coprime_triple, run_bench
 from frobenius3.oracle import oracle_frobenius, oracle_least_multiple
 from frobenius3.solver import frobenius, least_multiples_all, validate_triple
 from frobenius3.walk import WalkInput, find_least_multiple
@@ -113,6 +113,33 @@ def test_criterion_6_step_count_flatness():
            f"1000d={s1000['iterations']['mean']:.0f}; {elapsed:.1f}s)")
 
 
+def euclid_length(c, x):
+    """Divisions Euclid's algorithm takes on (c, x)."""
+    n = 0
+    while x:
+        c, x = x, c % x
+        n += 1
+    return n
+
+
+def test_iterations_follow_euclid_length_law():
+    # on criterion 6's samples each walk takes at most as many iterations as Euclid takes
+    # divisions on (c, p0 mod c), and about 0.4 as many on average; the divisions average
+    # Heilbronn's (12 ln 2/pi^2) ln c + 1.467
+    for digits in (100, 1000):
+        iterations = euclid = heilbronn = 0
+        for i in range(20):
+            _, trace = least_multiples_all(random_coprime_triple(digits, random.Random(f"42:{i}")))
+            c = trace.input.c
+            length = euclid_length(c, trace.p0 % c)
+            assert trace.iterations <= length, (digits, i)
+            iterations += trace.iterations
+            euclid += length
+            heilbronn += 12 * math.log(2) / math.pi ** 2 * math.log(c) + 1.467
+        assert abs(euclid / heilbronn - 1) < 0.02, (digits, euclid / heilbronn)
+        assert 0.35 <= iterations / heilbronn <= 0.45, (digits, iterations / heilbronn)
+
+
 def test_criterion_7a_crt_property():
     rng = random.Random(777)
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -168,7 +195,7 @@ def test_criterion_7c_role_symmetry():
         if math.gcd(b, x) != 1 or math.gcd(b, y) != 1 or math.gcd(x, y) != 1:
             continue
         # same minimum either way; each certificate's identity is exact
-        # (checked at construction).
+        # (find_least_multiple checks it).
         c1, _ = find_least_multiple(WalkInput(b=b, a=x, c=y))
         c2, _ = find_least_multiple(WalkInput(b=b, a=y, c=x))
         if c1.m != c2.m:

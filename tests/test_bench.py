@@ -93,6 +93,12 @@ class TestRunBench:
         for r in rows[1:]:
             walk_ms, assemble_ms, total_ms = map(float, r[3:6])
             assert abs(walk_ms + assemble_ms - total_ms) <= 0.002
+        # from 17 digits each generator is shortened to its first and last 8 digits
+        write_csv(run_bench(BenchConfig(digits=17, samples=1, seed=9)), str(path))
+        with open(path) as fh:
+            digest = list(csv.reader(fh))[1][6]
+        triple = random_coprime_triple(17, random.Random("9:0")).generators
+        assert digest == "|".join(f"{str(n)[:8]}..{str(n)[-8:]}(17d)" for n in triple)
 
     def test_sample_validates_once(self, monkeypatch):
         # the drawn triple is already validated; run_sample times its walk and assembly only

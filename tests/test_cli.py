@@ -9,10 +9,10 @@ import pytest
 from frobenius3 import cli
 from frobenius3.bench import BenchConfig, run_bench
 from frobenius3.cli import build_parser, main, parse_bigint
-from frobenius3.errors import InvalidInputError
+from frobenius3.errors import InvalidInputError, InvariantViolation
 from frobenius3.oracle import MAX_MODULUS
 from frobenius3.solver import frobenius, result_to_json
-from frobenius3.walk import WalkInput, find_least_multiple, trace_to_json
+from frobenius3.walk import MultipleCertificate, WalkInput, find_least_multiple, trace_to_json
 
 
 def run(capsys, *argv):
@@ -168,6 +168,36 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert f"--max must be <= {MAX_MODULUS}" in err
+
+    def test_frobenius_mismatch_exit_4(self, capsys, monkeypatch):
+        # the first triple, (2, 3, 5), has g = 1
+        monkeypatch.setattr(cli, "oracle_frobenius", lambda gens, convention: 0)
+        code, out, err = run(capsys, "verify", "--max", "10")
+        assert code == 4
+        assert out == "MISMATCH at (2,3,5): got g=1 f_pos=11, oracle g=0 f_pos=10\n"
+        assert err == ""
+
+    def test_least_multiple_mismatch_exit_4(self, capsys, monkeypatch):
+        # the first non-degenerate triple is (3, 4, 5), and 3*3 = 4 + 5
+        monkeypatch.setattr(cli, "oracle_least_multiple",
+                            lambda target, pair: MultipleCertificate(1, 1, 1, target, *pair))
+        code, out, err = run(capsys, "verify", "--max", "10")
+        assert code == 4
+        assert out == "MISMATCH least multiple of 3 over (4,5): got m=3, oracle m=1\n"
+        assert err == ""
+
+
+class TestInvariantViolation:
+    def test_exit_3(self, capsys, monkeypatch):
+        def broken(*generators):
+            raise InvariantViolation("certificates are not the least multiples of (3, 5, 7)")
+
+        monkeypatch.setattr(cli, "frobenius", broken)
+        code, out, err = run(capsys, "compute", "3", "5", "7")
+        assert code == 3
+        assert out == ""
+        assert err == ("internal invariant violation: "
+                       "certificates are not the least multiples of (3, 5, 7)\n")
 
 
 class TestBench:

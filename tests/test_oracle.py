@@ -74,8 +74,10 @@ class TestOracleFrobenius:
             assert oracle_frobenius(triple) == res.g, triple
 
     def test_rejects_non_coprime(self):
-        with pytest.raises(InvalidInputError):
-            oracle_frobenius((4, 6, 9))
+        # and any count of generators but three
+        for gens in ((4, 6, 9), (3, 5), (3, 5, 7, 11)):
+            with pytest.raises(InvalidInputError):
+                oracle_frobenius(gens)
 
     def test_unknown_convention(self):
         with pytest.raises(InvalidInputError):

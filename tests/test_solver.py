@@ -251,6 +251,22 @@ class TestMinimalityCheck:
                 triples += 1
         assert triples == 11
 
+    def test_positivity_clause(self):
+        # a basis change of (3, 5, 7)'s least relations: the identities, Herzog's relations
+        # and the minors all hold, and only u1 = -1 breaks a clause
+        t = validate_triple(3, 5, 7)
+        c2 = least_multiples_all(t)[0][1]
+        certs = (MultipleCertificate(3, -1, 2, 3, 5, 7), c2, MultipleCertificate(3, 2, 3, 7, 3, 5))
+        with pytest.raises(InvariantViolation):
+            assemble_result(t, certs)
+
+    def test_roles_clause(self):
+        # the least multiple of 3 with its pair swapped: the same numbers, the wrong claim
+        t = validate_triple(3, 5, 7)
+        certs, _ = least_multiples_all(t)
+        with pytest.raises(InvariantViolation):
+            assemble_result(t, (certs[0]._replace(pair_a=7, pair_c=5),) + certs[1:])
+
 
 class TestFrobenius:
     def test_357(self):
@@ -296,6 +312,22 @@ class TestFrobenius:
             calls.clear()
             frobenius(*triple)
             assert len(calls) == walks, triple
+
+    def test_generators_checked_once(self, monkeypatch):
+        calls = []
+        check = frobenius3.errors.check_generators
+
+        def counted(*values):
+            calls.append(values)
+            check(*values)
+
+        for name in ("errors", "oracle", "solver", "walk"):
+            monkeypatch.setattr(f"frobenius3.{name}.check_generators", counted)
+        frobenius(7523, 8231, 9533)
+        assert calls == [(7523, 8231, 9533)]
+        calls.clear()
+        oracle_frobenius((3, 5, 7))
+        assert calls == [(3, 5, 7)]
 
 
 class TestResultProperties:

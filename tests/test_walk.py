@@ -298,14 +298,18 @@ class TestTraceInvariants:
 
 
 class TestCertificate:
-    def test_identity_enforced(self):
-        with pytest.raises(InvariantViolation, match="identity fails"):
-            MultipleCertificate(m=2, u=1, w=1, target=5, pair_a=3, pair_c=8)
+    def test_plain_record(self):
+        # 2*5 != 1*3 + 1*8: the record checks nothing; the code that makes a claim checks it
+        assert MultipleCertificate(2, 1, 1, 5, 3, 8) == (2, 1, 1, 5, 3, 8)
 
-    def test_positivity_enforced(self):
-        for m, u, w in ((1, 0, 1), (0, 1, 1), (1, 1, 0)):
-            with pytest.raises(InvariantViolation, match="must be >= 1"):
-                MultipleCertificate(m=m, u=u, w=w, target=7, pair_a=3, pair_c=7)
+    def test_walk_checks_its_certificate(self, monkeypatch):
+        # the walk's last row (p, v, q) is the certificate (u, m, -w) of 8231 over (7523, 9533)
+        for p, v, q in ((13, 64, -44),  # identity broken
+                        (8231, 7523, 0)):  # identity holds, w = 0
+            row = (5, 1, 152, p, 15, v, 107, q)
+            monkeypatch.setattr("frobenius3.walk._walk", lambda inp, t0, p0, row=row: iter([row]))
+            with pytest.raises(InvariantViolation, match="walk certificate fails"):
+                find_least_multiple(GOLDEN)
 
     def test_value(self):
         cert, _ = find_least_multiple(GOLDEN)

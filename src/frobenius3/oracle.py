@@ -32,15 +32,18 @@ def _checked_generators(generators) -> list:
 
 def residue_table(generators) -> list:
     """Brauer–Shockley table mod a1 = min(generators): entry r is the least nonnegative
-    combination of the generators congruent to r mod a1.
+    combination of the generators congruent to r mod a1.  The generators must be at least
+    two and pairwise coprime, and a1 at most MAX_MODULUS."""
+    return _table(_checked_generators(generators))
 
-    The generators are at least two and pairwise coprime, and a1 is at most MAX_MODULUS.
-    With a2 alone, class k*a2 mod a1 first holds k*a2 (k < a1). Each further generator a
-    then takes one round-robin pass (Böcker and Lipták 2007): as a is prime to a1,
-    r -> r + a mod a1 is one cycle through every class, and the pass relaxes
-    t[r + a] = min(t[r + a], t[r] + a) around it from class 0. t[0] = 0 is the least entry,
-    which no other entry plus a can lower, so each entry the pass reaches is already final."""
-    gens = _checked_generators(generators)
+
+def _table(gens: list) -> list:
+    """residue_table of checked, sorted generators, with the guard on a1.  With a2 alone,
+    class k*a2 mod a1 first holds k*a2 (k < a1). Each further generator a then takes one
+    round-robin pass (Böcker and Lipták 2007): as a is prime to a1, r -> r + a mod a1 is
+    one cycle through every class, and the pass relaxes t[r + a] = min(t[r + a], t[r] + a)
+    around it from class 0. t[0] = 0 is the least entry, which no other entry plus a can
+    lower, so each entry the pass reaches is already final."""
     a1, a2, *further = gens
     if a1 > MAX_MODULUS:
         raise OracleBoundExceeded(f"table modulus {a1} exceeds oracle guard {MAX_MODULUS}")
@@ -119,4 +122,4 @@ def oracle_representable(n: int, generators, convention: str = NONNEG) -> bool:
     if n < gens[0]:
         # below a1 only 0, the empty sum, is representable; no table is built
         return n == 0
-    return n >= residue_table(gens)[n % gens[0]]
+    return n >= _table(gens)[n % gens[0]]

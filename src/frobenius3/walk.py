@@ -6,10 +6,9 @@ continued fraction) from the p0 with p0*a = b + t0*c, 1 <= t0 < a,
 develops rows (p_i, v_i, q_i = (p_i*a - v_i*b)/c) on the three-term
 recurrence x_i = k_i*x_{i-1} - x_{i-2} until q_i < 0; then m = v_i,
 u = p_i and w = -q_i.
-The walk takes one iteration per partial quotient k_i.  Most steps have k = 2,
-and in a run of them x_i - x_{i-1} is constant, so p, v and q move by fixed
-differences.  One division finds the step where k leaves 2 or q first turns
-negative, and the walk jumps there (_walk gives the argument).
+The walk is Euclid on (d, p) with d = p_{i-1} - p_i: each pass divides d by p, which sets
+one row's k, and then reaches the run of k = 2 rows after it, where p, v and q move by fixed
+differences, with one more division (_walk gives the argument).
 WalkInput stores the pair as a < c, and the certificate and the trace follow that
 order.  find_least_multiple counts the steps against the budget and checks the
 certificate it returns with exact arithmetic.  The trace keeps the row
@@ -43,10 +42,10 @@ class WalkTrace(namedtuple("WalkTrace", "input t0 p0 n_steps penultimate iterati
     """Initialization values, counts and next-to-last row of a finished walk.
 
     `penultimate` is the (p, v, q) of row n_steps - 1, the last row with q >= 0
-    (row 0 is (p0, 1, t0)).  `iterations` counts the walk's partial quotients, one
-    per k = 2 run, and `k2_run_max` is the longest run's step count.  The other
-    (k_i, p_i, v_i, q_i) rows are not stored: `steps` replays the walk from `input`,
-    `t0` and `p0` and expands each run into its rows when a caller asks for them."""
+    (row 0 is (p0, 1, t0)).  `iterations` counts one per k != 2 row and one per k = 2 run,
+    not the walk's passes, and `k2_run_max` is the longest run's step count.  The other
+    (k_i, p_i, v_i, q_i) rows are not stored: `steps` replays the walk from `input`, `t0`
+    and `p0` and expands each pass into its rows when a caller asks for them."""
 
     __slots__ = ()
 
@@ -57,9 +56,10 @@ class WalkTrace(namedtuple("WalkTrace", "input t0 p0 n_steps penultimate iterati
 
     @property
     def steps(self) -> tuple[WalkStep, ...]:
-        # an iteration's j rows end at the two it yields; in a run they step by a fixed difference
+        # a pass's j rows, of its k and then k = 2, end at the two it yields by a fixed step
         return tuple(
-            WalkStep(k, p + i * (p_prev - p), v - i * (v - v_prev), q + i * (q_prev - q))
+            WalkStep(k if i == j - 1 else 2,
+                     p + i * (p_prev - p), v + i * (v_prev - v), q + i * (q_prev - q))
             for k, j, p_prev, p, v_prev, v, q_prev, q
             in _walk(self.input, self.t0, self.p0)
             for i in range(j - 1, -1, -1))
@@ -85,54 +85,48 @@ def default_step_budget(c: int) -> int:
 
 
 def _walk(inp: WalkInput, t0: int, p0: int):
-    """Yield (k, j, p_{n-1}, p_n, v_{n-1}, v_n, q_{n-1}, q_n) once per partial quotient k,
-    for the j steps it takes, ending at row n, while q >= 0.
+    """Yield (k, j, p_{n-1}, p_n, v_{n-1}, v_n, q_{n-1}, q_n) once per Euclid pass, for the
+    j rows it visits, ending at row n, while q >= 0: the first row has k and the rest k = 2.
 
     p, v and q = (p*a - v*b)/c each follow x_i = k_i*x_{i-1} - x_{i-2} from
     (x_{-1}, x_0) = (s*c, p0), (0, 1), (s*a, t0), with k_i = 1 + p_{i-2} // p_{i-1}
-    and row -1 scaled once by s = max(1, p0 // c).  This is Rodseth's
-    p_i = k_i*p_{i-1} mod p_{i-2} with p_{-1} = c: while p_{i-1} < p_{i-2},
-    k_i*p_{i-1} lies in (p_{i-2}, p_{i-2} + p_{i-1}], below 2*p_{i-2}, so one
-    subtraction of p_{i-2} leaves the remainder.  That holds on every step after
-    the first, and on the first when p0 < c.  When p0 > c, s*c < p0 (p0 is prime
-    to c), so k_1 = 1 and row 1 is (p0 - s*c, 1, t0 - s*a) with p0 - s*c = p0 mod c.
-    The stop test q < 0 is p*a < v*b; q == 0 (w = 0) does not stop the walk.
-    With a < c it stops at p = 1 at the latest (there v*b = a + w*c with v < c);
-    p = 1 without a stop would repeat forever.
+    and row -1 scaled once by s = max(1, p0 // c): Rodseth's p_i = k_i*p_{i-1} mod p_{i-2}
+    with p_{-1} = c.  When p0 > c, s*c < p0 (p0 is prime to c), so k_1 = 1 and
+    p_1 = p0 - s*c = p0 mod c.  The stop test q < 0 is p*a < v*b (w = 0 does not stop it).
+    With a < c it stops at p = 1 at the latest (there v*b = a + w*c with v < c).
 
-    A run of k = 2 is crossed with one division.  With k = 2, x_i - x_{i-1} =
-    x_{i-1} - x_{i-2}: while k stays 2, p falls by d = p_{n-1} - p_n, v rises by
-    e = v_n - v_{n-1} and q falls by f = q_{n-1} - q_n on every step.  Step m of the
-    run (from row n) has p_{n+m-2} < 2*p_{n+m-1}, k = 2, exactly when m*d < p_n, so
-    the run lasts j = (p_n - 1) // d steps, and p > 1 on every row but perhaps its
-    last.  When f > 0, q_n - m*f < 0 first at m = q_n // f + 1, where the walk stops.
-    The walk counts nothing: find_least_multiple adds up the j and checks the budget."""
+    The walk keeps row n, P = (p, v, q), and D = row_{n-1} - row_n = (d, e, f).  Then
+    k = 1 + p_{n-1} // p = 2 + d // p, and row n+1 = k*P - (P + D) = P - (D - x*P) with
+    x = d // p: a pass takes x, d = divmod(d, p) and D -= x*P (d = 0 only at p = 1, where
+    the walk would repeat forever).  While k = 2 the difference stays D, so the rows
+    P - m*D follow, and row m + 1 has k = 2 exactly when (m + 1)*d < p: a run lasts while
+    m*d < p, the pass visits j = (p - 1) // d rows, and the next pass opens with d >= p,
+    so x >= 1.  Only the first pass can have x < 1: x = -1 on a scaled start (k = 1), and
+    x = 0 when it opens with a k = 2 run.  The stop is the first m with q - m*f < 0, which
+    is m = q // f + 1 <= j when q < j*f (so f > 0).  As p - j*d = p mod d unless that is 0,
+    each pass is two divisions of Euclid on (d, p): d runs through every other remainder
+    of Euclid on (c, p0), or on (s*c, p0 - s*c) after a scaled start.  The walk counts
+    nothing; find_least_multiple adds up the j."""
     s = p0 // inp.c or 1
-    p_prev, p, v_prev, v, q_prev, q = s * inp.c, p0, 0, 1, s * inp.a, t0
+    p, v, q = p0, 1, t0
+    d, e, f = s * inp.c - p0, -1, s * inp.a - t0
     while q >= 0:
-        if p == 1:
+        x, d = divmod(d, p)
+        if d == 0:
             raise InvariantViolation(f"walk reached p = 1 without stopping for {inp}")
-        k = 1 + p_prev // p
-        if k == 2:
-            d, e, f = p_prev - p, v - v_prev, q_prev - q
-            j = (p - 1) // d
-            if f > 0:
-                j = min(j, q // f + 1)
-            p_prev, v_prev, q_prev = p - (j - 1) * d, v + (j - 1) * e, q - (j - 1) * f
-            p, v, q = p_prev - d, v_prev + e, q_prev - f
-        else:
-            j = 1
-            p_prev, p = p, k * p - p_prev
-            v_prev, v = v, k * v - v_prev
-            q_prev, q = q, k * q - q_prev
-        yield k, j, p_prev, p, v_prev, v, q_prev, q
+        e, f = e - x * v, f - x * q
+        j = (p - 1) // d
+        if q < j * f:
+            j = q // f + 1
+        p, v, q = p - j * d, v - j * e, q - j * f
+        yield x + 2, j, p + d, p, v + e, v, q + f, q
 
 
 def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]:
     """Run the walk to termination; return the certificate and the trace, both in
     inp's pair order (a < c).
 
-    The steps are counted here, j for each yielded run, against
+    The steps are counted here, j for each yielded pass, against
     default_step_budget(c): StepBudgetExceeded is raised exactly when one step at
     a time would have taken more steps than the budget.
     The certificate is checked once, at the end (m, u, w >= 1, v*b = p*a - q*c), and that
@@ -151,9 +145,11 @@ def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]
         n += j
         if n > max_steps:
             raise StepBudgetExceeded(f"walk exceeded {max_steps} steps for (b={b}, a={a}, c={c})")
-        iterations += 1
-        if k == 2 and j > k2_run_max:
-            k2_run_max = j
+        # the pass's first row is one iteration unless its k is 2; the rest are a k = 2 run
+        run = j - (k != 2)
+        iterations += (k != 2) + (run > 0)
+        if run > k2_run_max:
+            k2_run_max = run
     if min(v, p, -q) < 1 or v * b != p * a - q * c:
         raise InvariantViolation(f"walk certificate fails for {inp}: need m, u, w >= 1 and "
                                  f"{v}*{b} = {p}*{a} + {-q}*{c}")

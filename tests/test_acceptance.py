@@ -125,19 +125,27 @@ def euclid_length(c, x):
 def test_iterations_follow_euclid_length_law():
     # on criterion 6's samples each walk takes at most as many iterations as Euclid takes
     # divisions on (c, p0 mod c), and about 0.4 as many on average; the divisions average
-    # Heilbronn's (12 ln 2/pi^2) ln c + 1.467
+    # Heilbronn's (12 ln 2/pi^2) ln c + 1.467.  The walk stops halfway through Euclid: about
+    # half of its remainders, p0 mod c included, are at least the last row's p
     for digits in (100, 1000):
-        iterations = euclid = heilbronn = 0
+        iterations = euclid = heilbronn = above = 0
         for i in range(20):
-            _, trace = least_multiples_all(random_coprime_triple(digits, random.Random(f"42:{i}")))
+            certs, trace = least_multiples_all(
+                random_coprime_triple(digits, random.Random(f"42:{i}")))
             c = trace.input.c
             length = euclid_length(c, trace.p0 % c)
             assert trace.iterations <= length, (digits, i)
             iterations += trace.iterations
             euclid += length
             heilbronn += 12 * math.log(2) / math.pi ** 2 * math.log(c) + 1.467
+            # the last row's p is the u of a2's certificate
+            r, x = c, trace.p0 % c
+            while x:
+                above += x >= certs[1].u
+                r, x = x, r % x
         assert abs(euclid / heilbronn - 1) < 0.02, (digits, euclid / heilbronn)
         assert 0.35 <= iterations / heilbronn <= 0.45, (digits, iterations / heilbronn)
+        assert 0.45 <= above / euclid <= 0.55, (digits, above / euclid)
 
 
 def test_criterion_7a_crt_property():

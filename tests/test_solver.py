@@ -328,6 +328,10 @@ class TestFrobenius:
         calls.clear()
         oracle_frobenius((3, 5, 7))
         assert calls == [(3, 5, 7)]
+        calls.clear()
+        # 20 >= a1 = 3, so the table is built from the generators checked before the shortcut
+        assert oracle_representable(20, (3, 5, 7))
+        assert calls == [(3, 5, 7)]
 
 
 class TestResultProperties:

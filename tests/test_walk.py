@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from frobenius3 import walk
 from frobenius3.errors import (
     InvalidInputError,
     InvariantViolation,
@@ -197,7 +198,7 @@ class TestFindLeastMultiple:
 
 
 class TestCollapsedRuns:
-    # each k = 2 run is crossed with one division; the result, every row and the budget
+    # each pass reaches its k = 2 run by division; the result, every row and the budget
     # must match the walk taken one step at a time
     def test_matches_reference_small(self):
         walks = 0
@@ -235,6 +236,53 @@ class TestCollapsedRuns:
     def test_long_run_is_one_division(self):
         _, tr = find_least_multiple(WalkInput(b=1001, a=1000, c=2001))
         assert (tr.n_steps, tr.iterations, tr.k2_run_max) == (1000, 1, 1000)
+
+
+def euclid_remainders(x, y):
+    """Remainders r0 = x, r1 = y, r2, ... of Euclid on (x, y), down to the last nonzero one."""
+    rs = [x]
+    while y:
+        x, y = y, x % y
+        rs.append(x)
+    return rs
+
+
+class TestEuclidCore:
+    # each pass leaves d = p_{n-1} - p_n at the next even-indexed remainder of Euclid
+    def passes_follow_euclid(self, inp):
+        try:
+            _, tr = find_least_multiple(inp)
+        except StepBudgetExceeded:
+            return False
+        p0, c = tr.p0, inp.c
+        if p0 < c:
+            evens = euclid_remainders(c, p0)[2::2]
+        else:
+            s = p0 // c
+            evens = euclid_remainders(s * c, p0 - s * c)[0::2]
+        ds = [p_prev - p for _, _, p_prev, p, *_ in walk._walk(inp, tr.t0, p0)]
+        assert ds == evens[:len(ds)], inp
+        return True
+
+    def test_exhaustive_small(self):
+        walks = 0
+        for c in range(3, 70):
+            for a in range(2, c):
+                if math.gcd(a, c) != 1:
+                    continue
+                for b in range(2, 200):
+                    if math.gcd(b, a) == 1 and math.gcd(b, c) == 1:
+                        walks += self.passes_follow_euclid(WalkInput(b=b, a=a, c=c))
+        assert walks == 128756
+
+    @pytest.mark.parametrize("digits, count", [(10, 300), (100, 60), (1000, 10)])
+    def test_random(self, digits, count):
+        rng = random.Random(digits)
+        walks = 0
+        while walks < count:
+            b, a, c = (rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(3))
+            if math.gcd(b, a) == math.gcd(b, c) == math.gcd(a, c) == 1:
+                walks += self.passes_follow_euclid(WalkInput(b=b, a=a, c=c))
 
 
 class TestTraceInvariants:

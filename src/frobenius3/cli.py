@@ -105,7 +105,7 @@ def cmd_least_multiple(args) -> int:
     x, y = (parse_bigint(s) for s in args.pair)
     cert, trace = find_least_multiple(WalkInput(b=target, a=x, c=y))
     if args.json:
-        out = {"certificate": certificate_to_json(cert)}
+        out = {"certificate": certificate_to_json(*map(str, cert))}
         if args.trace:
             out["trace"] = trace_to_json(trace)
         print(json.dumps(out))

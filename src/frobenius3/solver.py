@@ -126,7 +126,8 @@ def assemble_result(t: ValidatedTriple,
     so w1 < a1, w2 < a2, and x_A = L1 + w2*a3 and x_B = L2 + w1*a3 are below
     a3*(a1 + a2) <= a1*a2*a3: each is its system's least solution.  f_pos is the larger, and
     the winning system's three forms are its decompositions."""
-    (m1, u1, w1), (m2, u2, w2), (m3, u3, w3) = ((c.m, c.u, c.w) for c in certs)
+    coeffs = [(c.m, c.u, c.w) for c in certs]
+    (m1, u1, w1), (m2, u2, w2), (m3, u3, w3) = coeffs
     a1, a2, a3 = t.generators
     roles = [(c.target, c.pair_a, c.pair_c) for c in certs]
     if (roles != [(a1, a2, a3), (a2, a1, a3), (a3, a1, a2)]
@@ -139,14 +140,21 @@ def assemble_result(t: ValidatedTriple,
     g = f_pos - t.total
     if g < 1:
         raise InvariantViolation(f"f_pos <= a1+a2+a3 for {t.generators}")
-    if cand_a >= cand_b:
-        decomps = ((a1, m1, a3, w2), (a2, m2, a1, u3), (a3, m3, a2, u1))
-    else:
-        decomps = ((a1, m1, a2, w3), (a2, m2, a3, w1), (a3, m3, a1, u2))
+    decomps = _decompositions(cand_a >= cand_b, t.generators, coeffs)
     return FrobeniusResult(
         a1=a1, a2=a2, a3=a3, g=g, f_pos=f_pos, candidate_a=cand_a, candidate_b=cand_b,
         certificates=certs, decompositions=tuple(Decomposition(*d) for d in decomps),
     )
+
+
+def _decompositions(system_a, generators, coeffs):
+    """The winning system's three forms of f_pos, each (generator, multiplier, partner,
+    partner_coeff), from the generators and the certificates' (m, u, w) in generator
+    order: as numbers for assemble_result, as decimal strings for result_to_json."""
+    (a1, a2, a3), ((m1, u1, w1), (m2, u2, w2), (m3, u3, w3)) = generators, coeffs
+    if system_a:
+        return ((a1, m1, a3, w2), (a2, m2, a1, u3), (a3, m3, a2, u1))
+    return ((a1, m1, a2, w3), (a2, m2, a3, w1), (a3, m3, a1, u2))
 
 
 def frobenius(x1: int, x2: int, x3: int) -> FrobeniusResult:
@@ -165,23 +173,27 @@ def frobenius(x1: int, x2: int, x3: int) -> FrobeniusResult:
 def result_to_json(res: FrobeniusResult) -> dict:
     """JSON-friendly result dict; all big integers as decimal strings.  f_pos has about 1.5
     times the generators' digits: past 4,300 digits str() raises ValueError unless the caller
-    has run sys.set_int_max_str_digits(0), as frob3 does (the library leaves it alone)."""
-    out = {
-        "input": [str(res.a1), str(res.a2), str(res.a3)],
-        "g": str(res.g),
-        "f_pos": str(res.f_pos),
-        "candidate_A": None if res.candidate_a is None else str(res.candidate_a),
-        "candidate_B": None if res.candidate_b is None else str(res.candidate_b),
-        "degenerate_member": res.degenerate_member,
-        "certificates": None,
-        "decompositions": None,
-    }
-    if res.certificates is not None:
-        out["certificates"] = [certificate_to_json(c) for c in res.certificates]
-    if res.decompositions is not None:
-        out["decompositions"] = [
-            {"generator": str(d.generator), "multiplier": str(d.multiplier),
-             "partner": str(d.partner), "partner_coeff": str(d.partner_coeff)}
-            for d in res.decompositions
-        ]
+    has run sys.set_int_max_str_digits(0), as frob3 does (the library leaves it alone).
+
+    Each of the document's 15 distinct values is converted once, and its string is shared
+    where the document repeats it: the generators in every certificate and decomposition
+    (in the roles that assemble_result proved), f_pos as the larger candidate, and the
+    certificates' coefficients in the decompositions."""
+    gens = [str(res.a1), str(res.a2), str(res.a3)]
+    out = {"input": gens, "g": str(res.g), "f_pos": None, "candidate_A": None,
+           "candidate_B": None, "degenerate_member": res.degenerate_member,
+           "certificates": None, "decompositions": None}
+    if res.degenerate:
+        out["f_pos"] = str(res.f_pos)
+        return out
+    system_a = res.f_pos == res.candidate_a
+    cand_a, cand_b = str(res.candidate_a), str(res.candidate_b)
+    out.update(f_pos=cand_a if system_a else cand_b, candidate_A=cand_a, candidate_B=cand_b)
+    coeffs = [(str(c.m), str(c.u), str(c.w)) for c in res.certificates]
+    a1, a2, a3 = gens
+    out["certificates"] = [certificate_to_json(*muw, *role) for muw, role
+                           in zip(coeffs, ((a1, a2, a3), (a2, a1, a3), (a3, a1, a2)))]
+    out["decompositions"] = [
+        {"generator": g, "multiplier": m, "partner": p, "partner_coeff": k}
+        for g, m, p, k in _decompositions(system_a, gens, coeffs)]
     return out

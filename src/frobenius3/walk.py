@@ -8,7 +8,8 @@ recurrence x_i = k_i*x_{i-1} - x_{i-2} until q_i < 0; then m = v_i,
 u = p_i and w = -q_i.
 The walk is Euclid on (d, p) with d = p_{i-1} - p_i: each pass divides d by p, which sets
 one row's k, and then reaches the run of k = 2 rows after it, where p, v and q move by fixed
-differences, with one more division (_walk gives the argument).
+differences, with one more division.  While p has more than 2*W bits, whole passes are read
+off the leading W bits of (d, p) and applied in Lehmer batches (_walk gives the argument).
 WalkInput stores the pair as a < c, and the certificate and the trace follow that
 order.  find_least_multiple counts the steps against the budget and checks the
 certificate it returns with exact arithmetic.  The trace keeps the row
@@ -19,6 +20,9 @@ off the two rows.
 from collections import namedtuple
 
 from .errors import InvariantViolation, StepBudgetExceeded, check_generators
+
+# bits of d that a Lehmer batch reads; batches run while p has more than 2*W bits
+W = 124
 
 
 class WalkInput(namedtuple("WalkInput", "b a c")):
@@ -45,7 +49,7 @@ class WalkTrace(namedtuple("WalkTrace", "input t0 p0 n_steps penultimate iterati
     (row 0 is (p0, 1, t0)).  `iterations` counts one per k != 2 row and one per k = 2 run,
     not the walk's passes, and `k2_run_max` is the longest run's step count.  The other
     (k_i, p_i, v_i, q_i) rows are not stored: `steps` replays the walk from `input`, `t0`
-    and `p0` and expands each pass into its rows when a caller asks for them."""
+    and `p0` and expands its passes into rows when a caller asks for them."""
 
     __slots__ = ()
 
@@ -56,13 +60,17 @@ class WalkTrace(namedtuple("WalkTrace", "input t0 p0 n_steps penultimate iterati
 
     @property
     def steps(self) -> tuple[WalkStep, ...]:
-        # a pass's j rows, of its k and then k = 2, end at the two it yields by a fixed step
-        return tuple(
-            WalkStep(k if i == j - 1 else 2,
-                     p + i * (p_prev - p), v + i * (v_prev - v), q + i * (q_prev - q))
-            for k, j, p_prev, p, v_prev, v, q_prev, q
-            in _walk(self.input, self.t0, self.p0)
-            for i in range(j - 1, -1, -1))
+        # each pass (x, j) sets D -= x*P, visits the rows P - m*D for m = 1..j, and sets
+        # P -= j*D: the walk's own updates, by multiplication only
+        passes, _ = _walk(self.input, self.t0, self.p0)
+        (p, v, q), (d, e, f) = _start(self.input, self.t0, self.p0)
+        rows = []
+        for x, j in passes:
+            d, e, f = d - x * p, e - x * v, f - x * q
+            rows += (WalkStep(x + 2 if m == 1 else 2, p - m * d, v - m * e, q - m * f)
+                     for m in range(1, j + 1))
+            p, v, q = p - j * d, v - j * e, q - j * f
+        return tuple(rows)
 
 
 class MultipleCertificate(namedtuple("MultipleCertificate", "m u w target pair_a pair_c")):
@@ -84,15 +92,24 @@ def default_step_budget(c: int) -> int:
     return 100 * c.bit_length() + 100
 
 
+def _start(inp: WalkInput, t0: int, p0: int):
+    """Row 0, P = (p0, 1, t0), and D = row_{-1} - row_0, with row -1 scaled by
+    s = max(1, p0 // c)."""
+    s = p0 // inp.c or 1
+    return (p0, 1, t0), (s * inp.c - p0, -1, s * inp.a - t0)
+
+
 def _walk(inp: WalkInput, t0: int, p0: int):
-    """Yield (k, j, p_{n-1}, p_n, v_{n-1}, v_n, q_{n-1}, q_n) once per Euclid pass, for the
-    j rows it visits, ending at row n, while q >= 0: the first row has k and the rest k = 2.
+    """Return the walk's passes, [(x, j), ...], and its last two rows, the (p, v, q) of
+    rows n - 1 and n, where q_{n-1} >= 0 > q_n.  A pass visits j rows: the first has
+    k = x + 2 and the rest k = 2.
 
     p, v and q = (p*a - v*b)/c each follow x_i = k_i*x_{i-1} - x_{i-2} from
     (x_{-1}, x_0) = (s*c, p0), (0, 1), (s*a, t0), with k_i = 1 + p_{i-2} // p_{i-1}
     and row -1 scaled once by s = max(1, p0 // c): Rodseth's p_i = k_i*p_{i-1} mod p_{i-2}
     with p_{-1} = c.  When p0 > c, s*c < p0 (p0 is prime to c), so k_1 = 1 and
-    p_1 = p0 - s*c = p0 mod c.  The stop test q < 0 is p*a < v*b (w = 0 does not stop it).
+    p_1 = p0 - s*c = p0 mod c, and as q_1 = t0 - s*a < 0 (t0 < a) the walk stops there.
+    The stop test q < 0 is p*a < v*b (w = 0 does not stop it).
     With a < c it stops at p = 1 at the latest (there v*b = a + w*c with v < c).
 
     The walk keeps row n, P = (p, v, q), and D = row_{n-1} - row_n = (d, e, f).  Then
@@ -105,12 +122,42 @@ def _walk(inp: WalkInput, t0: int, p0: int):
     x = 0 when it opens with a k = 2 run.  The stop is the first m with q - m*f < 0, which
     is m = q // f + 1 <= j when q < j*f (so f > 0).  As p - j*d = p mod d unless that is 0,
     each pass is two divisions of Euclid on (d, p): d runs through every other remainder
-    of Euclid on (c, p0), or on (s*c, p0 - s*c) after a scaled start.  The walk counts
-    nothing; find_least_multiple adds up the j."""
-    s = p0 // inp.c or 1
-    p, v, q = p0, 1, t0
-    d, e, f = s * inp.c - p0, -1, s * inp.a - t0
+    of Euclid on (c, p0), or on (s*c, p0 - s*c) after a scaled start.
+
+    Batches (Lehmer 1938; Knuth, TAOCP vol. 2, 4.5.2, Algorithm L).  After the first pass,
+    whose d may be negative, and while p has more than 2*W bits, whole passes are read off
+    the leading bits: with sh = bitlen(d) - W, d = 2^sh*(dh + ed) and p = 2^sh*(ph + ep),
+    with ed and ep in [0, 1).  A batch runs passes on (dh, ph) and keeps their matrix,
+    (d, p) -> (A*d + B*p, C*d + D*p), the identity at first.  The true pair over 2^sh is
+    then (dh + A*ed + B*ep, ph + C*ed + D*ep), in [dh + B, dh + A) x [ph + C, ph + D), as
+    A, D >= 1 and B, C <= 0.  A pass takes x, dn = divmod(dh, ph) and j, pn = divmod(ph, dn),
+    so j >= 1, and (An, Bn) = (A - x*C, B - x*D), (Cn, Dn) = (C - j*An, D - j*Bn), which
+    keep the signs.  It is kept only while
+        pn > -Cn, so the true p' = p - j*d', with d' = d - x*p, is > pn + Cn > 0, and
+        dn - pn >= Dn - Bn, so the true d' - p' > (dn - pn) + (Bn - Dn) >= 0.
+    Then 0 < p' < d', and p = p' + j*d' > d', so 0 < d' < p gives x = d // p, and
+    1 <= p' < d' gives j = p // d' = (p - 1) // d': (x, j) is the exact pass's.  (The
+    bounds dn > -Bn and ph - dn >= An - C, which certify x alone, follow from these two.)
+    The matrix moves (d, p), (e, v) and (f, q), and the batch is kept only if q >= 0 at its
+    end.  q strictly falls along the rows, as f = (d*a - e*b)/c > 0 with d > 0 and e <= 0
+    (v never falls after row 0), so then no row of the batch stopped the walk and no pass
+    was cut.  A batch that certifies no pass (a partial quotient near 2^(W/2) or more, such
+    as a long k = 2 run) or that ends with q < 0 leaves the rest of the walk to the exact
+    pass.  The walk counts nothing; find_least_multiple adds up the j."""
+    (p, v, q), (d, e, f) = _start(inp, t0, p0)
+    passes = []
+    batches = True
     while q >= 0:
+        if batches and passes and p.bit_length() > 2 * W:
+            batch, (A, B, C, D) = _leading_passes(d, p)
+            q_end = C * f + D * q
+            if batch and q_end >= 0:
+                d, p = A * d + B * p, C * d + D * p
+                e, v = A * e + B * v, C * e + D * v
+                f, q = A * f + B * q, q_end
+                passes += batch
+                continue
+            batches = False
         x, d = divmod(d, p)
         if d == 0:
             raise InvariantViolation(f"walk reached p = 1 without stopping for {inp}")
@@ -119,16 +166,39 @@ def _walk(inp: WalkInput, t0: int, p0: int):
         if q < j * f:
             j = q // f + 1
         p, v, q = p - j * d, v - j * e, q - j * f
-        yield x + 2, j, p + d, p, v + e, v, q + f, q
+        passes.append((x, j))
+    return passes, ((p + d, v + e, q + f), (p, v, q))
+
+
+def _leading_passes(d: int, p: int):
+    """The passes of Euclid on (d, p), d >= p, that the leading W bits of d and the same
+    shift of p certify, and their matrix (A, B, C, D); _walk gives the argument."""
+    sh = d.bit_length() - W
+    dh, ph = d >> sh, p >> sh
+    A, B, C, D = 1, 0, 0, 1
+    batch = []
+    while ph:  # 0 only at the start, when x >= 2^(W-1)
+        x, dn = divmod(dh, ph)
+        if not dn:
+            break
+        j, pn = divmod(ph, dn)
+        An, Bn = A - x * C, B - x * D
+        Cn, Dn = C - j * An, D - j * Bn
+        if pn <= -Cn or dn - pn < Dn - Bn:
+            break
+        batch.append((x, j))
+        dh, ph, A, B, C, D = dn, pn, An, Bn, Cn, Dn
+    return batch, (A, B, C, D)
 
 
 def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]:
     """Run the walk to termination; return the certificate and the trace, both in
     inp's pair order (a < c).
 
-    The steps are counted here, j for each yielded pass, against
-    default_step_budget(c): StepBudgetExceeded is raised exactly when one step at
-    a time would have taken more steps than the budget.
+    The steps are counted here, j for each pass, against default_step_budget(c):
+    StepBudgetExceeded is raised exactly when one step at a time would have taken more
+    steps than the budget.  The passes are at most about half of Euclid's divisions on
+    (c, p0), so the walk runs to its end before they are counted.
     The certificate is checked once, at the end (m, u, w >= 1, v*b = p*a - q*c), and that
     covers p0 = (b + c*t0) // a too: the defect δ_i = p_i*a - v_i*b - q_i*c follows the
     walk's recurrence from δ_{-1} = 0 and δ_0 = -rem, as v does from (0, 1), so
@@ -139,23 +209,23 @@ def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]
     t0 = -b * pow(c, -1, a) % a
     p0 = (b + c * t0) // a
     # row 0 is (p0, 1, t0) with t0 >= 1 (a does not divide b): the walk takes a step
+    passes, (penultimate, (p, v, q)) = _walk(inp, t0, p0)
     max_steps = default_step_budget(c)
     n = iterations = k2_run_max = 0
-    for k, j, p_prev, p, v_prev, v, q_prev, q in _walk(inp, t0, p0):
+    for x, j in passes:
         n += j
-        if n > max_steps:
-            raise StepBudgetExceeded(f"walk exceeded {max_steps} steps for (b={b}, a={a}, c={c})")
-        # the pass's first row is one iteration unless its k is 2; the rest are a k = 2 run
-        run = j - (k != 2)
-        iterations += (k != 2) + (run > 0)
+        # the pass's first row is one iteration unless x = 0 (k = 2); the rest are a k = 2 run
+        run = j - (x != 0)
+        iterations += (x != 0) + (run > 0)
         if run > k2_run_max:
             k2_run_max = run
+    if n > max_steps:
+        raise StepBudgetExceeded(f"walk exceeded {max_steps} steps for (b={b}, a={a}, c={c})")
     if min(v, p, -q) < 1 or v * b != p * a - q * c:
         raise InvariantViolation(f"walk certificate fails for {inp}: need m, u, w >= 1 and "
                                  f"{v}*{b} = {p}*{a} + {-q}*{c}")
     cert = MultipleCertificate(m=v, u=p, w=-q, target=b, pair_a=a, pair_c=c)
-    return cert, WalkTrace(input=inp, t0=t0, p0=p0, n_steps=n,
-                           penultimate=(p_prev, v_prev, q_prev),
+    return cert, WalkTrace(input=inp, t0=t0, p0=p0, n_steps=n, penultimate=penultimate,
                            iterations=iterations, k2_run_max=k2_run_max)
 
 
@@ -179,10 +249,11 @@ def trace_table(trace: WalkTrace) -> str:
     return "\n".join(lines)
 
 
-def certificate_to_json(cert: MultipleCertificate) -> dict:
-    """JSON-friendly certificate; all integers as decimal strings."""
-    return {"target": str(cert.target), "m": str(cert.m), "u": str(cert.u), "w": str(cert.w),
-            "pair": [str(cert.pair_a), str(cert.pair_c)]}
+def certificate_to_json(m: str, u: str, w: str, target: str, pair_a: str, pair_c: str) -> dict:
+    """JSON-friendly certificate from its fields' decimal strings, in MultipleCertificate
+    order: certificate_to_json(*map(str, cert)).  The caller converts, so that a document
+    that repeats a value converts it once."""
+    return {"target": target, "m": m, "u": u, "w": w, "pair": [pair_a, pair_c]}
 
 
 def trace_to_json(trace: WalkTrace) -> dict:

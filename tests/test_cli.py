@@ -1,13 +1,14 @@
 import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from frobenius3 import cli
-from frobenius3.bench import BenchConfig, run_bench
+from frobenius3 import cli, solver, walk
+from frobenius3.bench import BenchConfig, random_coprime_triple, run_bench
 from frobenius3.cli import build_parser, main, parse_bigint
 from frobenius3.errors import InvalidInputError, InvariantViolation
 from frobenius3.oracle import MAX_MODULUS
@@ -276,6 +277,22 @@ class TestJsonOutput:
         assert isinstance(doc.pop("total_ms_mean"), float)
         del expected["total_ms_mean"]
         self.assert_document(doc, expected)
+
+    def test_compute_converts_each_value_once(self, capsys, monkeypatch):
+        # 15 distinct values: 3 generators, g, 2 candidates (f_pos is one) and 9 coefficients
+        converted = []
+
+        def counting_str(value):
+            converted.append(value)
+            return str(value)
+
+        for module in (solver, walk):
+            monkeypatch.setattr(module, "str", counting_str, raising=False)
+        big = random_coprime_triple(100, random.Random(15)).generators
+        for triple in ((3, 5, 7), (7523, 8231, 9533), big):
+            converted.clear()
+            self.one_document(capsys, "compute", *map(str, triple), "--json")
+            assert len(converted) == 15, triple
 
     def test_compute_literal_line(self, capsys):
         code, out, _ = run(capsys, "compute", "3", "5", "7", "--json")

@@ -36,27 +36,30 @@ def coprime_triples(limit):
                     yield a1, a2, a3
 
 
-def reference_walk(inp):
+def reference_walk(inp, keep_rows=True):
     """find_least_multiple one step at a time: the plain three-term recurrence and its budget.
 
-    Returns ((m, u, w, t0, p0, n_steps, penultimate), rows) with rows (k_i, p_i, v_i, q_i)."""
+    Returns ((m, u, w, t0, p0, n_steps, penultimate), rows) with rows (k_i, p_i, v_i, q_i),
+    or with the rows' count in place of the rows when keep_rows is false."""
     b, a, c = inp.b, inp.a, inp.c
     t0 = -b * pow(c, -1, a) % a
     p0 = (b + c * t0) // a
     s = p0 // c or 1
     p_prev, p, v_prev, v, q_prev, q = s * c, p0, 0, 1, s * a, t0
-    rows = []
+    rows, n = [], 0
     while q >= 0:
         if p == 1:
             raise InvariantViolation(inp)
-        if len(rows) >= default_step_budget(c):
+        if n >= default_step_budget(c):
             raise StepBudgetExceeded(inp)
         k = 1 + p_prev // p
         p_prev, p = p, k * p - p_prev
         v_prev, v = v, k * v - v_prev
         q_prev, q = q, k * q - q_prev
-        rows.append((k, p, v, q))
-    return (v, p, -q, t0, p0, len(rows), (p_prev, v_prev, q_prev)), rows
+        n += 1
+        if keep_rows:
+            rows.append((k, p, v, q))
+    return (v, p, -q, t0, p0, n, (p_prev, v_prev, q_prev)), rows if keep_rows else n
 
 
 def outcome(walk, inp):
@@ -238,6 +241,143 @@ class TestCollapsedRuns:
         assert (tr.n_steps, tr.iterations, tr.k2_run_max) == (1000, 1, 1000)
 
 
+def random_inputs(digits, count, seed):
+    """count seeded pairwise-coprime inputs of the given number of digits."""
+    rng = random.Random(seed)
+    while count:
+        b, a, c = (rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(3))
+        if math.gcd(b, a) == math.gcd(b, c) == math.gcd(a, c) == 1:
+            count -= 1
+            yield WalkInput(b=b, a=a, c=c)
+
+
+def input_from_quotients(quotients, rng):
+    """An input whose walk runs Euclid on (c, p0) with exactly these quotients, the last >= 2.
+
+    c/p0 is the continued fraction [q0; q1, ...], so pass i >= 1 has x = q_{2i} and
+    j = q_{2i+1}.  a < c is random, t0, b = divmod(p0*a, c), so b/a is near 1 and the walk
+    stops about halfway through."""
+    c, p0 = 1, 0
+    for q in reversed(quotients):
+        c, p0 = q * c + p0, c
+    while True:
+        a = rng.randrange(c // 2, c)
+        t0, b = divmod(p0 * a, c)
+        if b >= 2 and math.gcd(a, c) == math.gcd(t0, a) == 1:
+            return WalkInput(b=b, a=a, c=c)
+
+
+@pytest.fixture
+def batched(monkeypatch):
+    """The number of passes each Lehmer batch of the test certifies."""
+    counts = []
+    leading_passes = walk._leading_passes
+
+    def spy(d, p):
+        batch, matrix = leading_passes(d, p)
+        counts.append(len(batch))
+        return batch, matrix
+
+    monkeypatch.setattr(walk, "_leading_passes", spy)
+    return counts
+
+
+class TestLehmerBatches:
+    # above 2*W bits the passes come from the leading bits of (d, p); the result, every row
+    # and the budget must match the walk taken one step at a time
+    @pytest.mark.parametrize("digits, count", [(300, 12), (1000, 3), (3000, 1)])
+    def test_matches_reference_random(self, batched, digits, count):
+        # one 3000-digit walk: its 12,787 rows take tens of MB on each side
+        for inp in random_inputs(digits, count, seed=digits):
+            assert outcome(collapsed_walk, inp) == outcome(reference_walk, inp), inp
+        assert sum(batched) > 0
+
+    def test_batch_is_exact_at_the_corners(self):
+        # the leading bits cannot see ed, ep in [0, 1): every pass a batch keeps must be
+        # Euclid's on (d, p) at each corner of that box, and its matrix must give the pair
+        rng = random.Random(124)
+        sh, batches = walk.W + 5, 0
+        pairs = [(3 << (walk.W - 3), 1 << (walk.W - 3))]  # dh = 3*ph: its first dn is 0
+        pairs += (sorted(rng.randrange(2 ** (walk.W - 9), 2 ** walk.W) for _ in range(2))[::-1]
+                  for _ in range(1500))
+        for dh, ph in pairs:
+            for d, p in itertools.product((dh << sh, (dh + 1 << sh) - 1),
+                                          (ph << sh, (ph + 1 << sh) - 1)):
+                batch, (A, B, C, D) = walk._leading_passes(d, p)
+                d_end, p_end = A * d + B * p, C * d + D * p
+                for x, j in batch:
+                    assert x == d // p, (d, p)
+                    d -= x * p
+                    assert j == (p - 1) // d, (d, p)
+                    p -= j * d
+                assert 1 <= p < d and (d, p) == (d_end, p_end)
+                batches += len(batch) > 0
+        assert batches > 5000
+
+    def test_scaled_start(self, batched):
+        # t0 = a - 1 and p0 = c + r > c.  A scaled start stops at row 1, since
+        # q_1 = t0 - s*a < 0 (m = 1): its one pass is exact and no batch runs.
+        rng = random.Random(301)
+        walks = 0
+        while walks < 4:
+            a, c = sorted(rng.randrange(10 ** 299, 10 ** 300) for _ in range(2))
+            r = rng.randrange(10 ** 99, 10 ** 299)
+            if math.gcd(a, c) == math.gcd(r, c) == 1:
+                inp = WalkInput(b=a * r + c, a=a, c=c)
+                got = outcome(collapsed_walk, inp)
+                assert got == outcome(reference_walk, inp), inp
+                assert got == ((1, r, 1, a - 1, c + r, 1, (c + r, 1, a - 1)),
+                               [(1, r, 1, -1)])
+                walks += 1
+        assert batched == []
+
+    @pytest.mark.parametrize("at", [2, 10])
+    def test_quotient_above_two_to_the_w(self, batched, at):
+        # x = 2^(W+6) + 1 on pass at // 2, far above 2*W bits.  At 2 the first batch finds
+        # p's leading bits 0; at 10 a batch stops short of the pass before it, whose p is
+        # below the batch's precision.  Either way the next batch certifies no pass, and the
+        # exact pass takes the rest of the walk.
+        rng = random.Random(at)
+        big = 2 ** (walk.W + 6) + 1
+        quotients = [1] + [rng.randint(1, 4) for _ in range(at - 1)] + [big]
+        quotients += [rng.randint(1, 4) for _ in range(700)] + [2]
+        inp = input_from_quotients(quotients, rng)
+        got = outcome(collapsed_walk, inp)
+        assert got == outcome(reference_walk, inp), inp
+        assert big + 2 in [k for k, *_ in got[1]]
+        assert batched[-1] == 0 and (at == 2) == (batched[0] == 0)
+
+    @pytest.mark.parametrize("bits", [2 * walk.W - 2, 2 * walk.W, 2 * walk.W + 1,
+                                      2 * walk.W + 3, 2 * walk.W + 16])
+    def test_operands_near_two_w_bits(self, batched, bits):
+        rng = random.Random(bits)
+        walks = 0
+        while walks < 40:
+            b, a, c = (rng.randrange(2 ** (bits - 1), 2 ** bits) for _ in range(3))
+            if math.gcd(b, a) == math.gcd(b, c) == math.gcd(a, c) == 1:
+                inp = WalkInput(b=b, a=a, c=c)
+                assert outcome(collapsed_walk, inp) == outcome(reference_walk, inp), inp
+                walks += 1
+        # after the first pass p < c/2, and a batch runs only while p has more than 2*W bits
+        assert (len(batched) > 0) == (bits > 2 * walk.W + 1)
+
+    def test_over_budget_after_batches(self, batched):
+        # j = 2^(W+6) + 1 on pass 6: the walk goes over its budget of 100*bitlen(c) + 100
+        # steps there, after its batches, and raises as the walk one step at a time does
+        rng = random.Random(6)
+        quotients = [1] + [rng.randint(1, 4) for _ in range(200)]
+        quotients[13] = 2 ** (walk.W + 6) + 1
+        quotients += [rng.randint(1, 4) for _ in range(1000)] + [2]
+        inp = input_from_quotients(quotients, rng)
+        assert inp.c.bit_length() > 1000
+        budget = default_step_budget(inp.c)
+        with pytest.raises(StepBudgetExceeded,
+                           match=rf"walk exceeded {budget} steps for \(b={inp.b}, a={inp.a}, "):
+            find_least_multiple(inp)
+        assert outcome(lambda i: reference_walk(i, keep_rows=False), inp) is StepBudgetExceeded
+        assert sum(batched) > 0
+
+
 def euclid_remainders(x, y):
     """Remainders r0 = x, r1 = y, r2, ... of Euclid on (x, y), down to the last nonzero one."""
     rs = [x]
@@ -255,13 +395,20 @@ class TestEuclidCore:
         except StepBudgetExceeded:
             return False
         p0, c = tr.p0, inp.c
+        s = p0 // c or 1
         if p0 < c:
             evens = euclid_remainders(c, p0)[2::2]
         else:
-            s = p0 // c
             evens = euclid_remainders(s * c, p0 - s * c)[0::2]
-        ds = [p_prev - p for _, _, p_prev, p, *_ in walk._walk(inp, tr.t0, p0)]
+        # replay the quotients on (d, p) from row -1 scaled by s, taking d after each x
+        passes, (penultimate, last) = walk._walk(inp, tr.t0, p0)
+        d, p, ds = s * c - p0, p0, []
+        for x, j in passes:
+            d -= x * p
+            ds.append(d)
+            p -= j * d
         assert ds == evens[:len(ds)], inp
+        assert (penultimate[0], last[0]) == (p + d, p), inp
         return True
 
     def test_exhaustive_small(self):
@@ -354,8 +501,9 @@ class TestCertificate:
         # the walk's last row (p, v, q) is the certificate (u, m, -w) of 8231 over (7523, 9533)
         for p, v, q in ((13, 64, -44),  # identity broken
                         (8231, 7523, 0)):  # identity holds, w = 0
-            row = (5, 1, 152, p, 15, v, 107, q)
-            monkeypatch.setattr("frobenius3.walk._walk", lambda inp, t0, p0, row=row: iter([row]))
+            # one pass, x = 3 (k = 5) and j = 1, after row 5, (152, 15, 107)
+            walked = ([(3, 1)], ((152, 15, 107), (p, v, q)))
+            monkeypatch.setattr("frobenius3.walk._walk", lambda inp, t0, p0, walked=walked: walked)
             with pytest.raises(InvariantViolation, match="walk certificate fails"):
                 find_least_multiple(GOLDEN)
 

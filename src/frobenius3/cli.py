@@ -1,7 +1,8 @@
 """Command-line front end: compute, least-multiple, verify, bench.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 internal
-invariant violation, 4 verification mismatch, 5 I/O error.
+invariant violation or a walk over its step budget, 4 verification
+mismatch, 5 I/O error.
 """
 
 import argparse
@@ -10,7 +11,7 @@ import json
 import math
 import sys
 
-from .errors import InvalidInputError, InvariantViolation
+from .errors import InvalidInputError, InvariantViolation, StepBudgetExceeded
 from .oracle import MAX_MODULUS, NONNEG, oracle_frobenius, oracle_least_multiple
 from .solver import frobenius, result_to_json
 from .walk import WalkInput, certificate_to_json, find_least_multiple, trace_table, trace_to_json
@@ -196,6 +197,9 @@ def main(argv=None) -> int:
         code = _HANDLERS[args.command](args)
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        code = EXIT_INVARIANT
+    except StepBudgetExceeded as exc:
+        print(f"step budget exceeded: {exc}", file=sys.stderr)
         code = EXIT_INVARIANT
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -20,9 +20,9 @@ from .walk import (MultipleCertificate, WalkInput, WalkTrace, certificate_to_jso
                    find_least_multiple)
 
 
-class ValidatedTriple(namedtuple("ValidatedTriple", "a1 a2 a3 degenerate")):
-    """Sorted pairwise-coprime generators; degenerate is whether a3 is positively
-    representable by a1 and a2 (only a3 can be by the other two)."""
+class ValidatedTriple(namedtuple("ValidatedTriple", "a1 a2 a3 degenerate inv_a3")):
+    """Sorted pairwise-coprime generators; whether a3 is degenerate, a positive combination
+    of a1 and a2 (only a3 can be); and inv_a3 = a3^-1 mod a1, which starts the walk."""
 
     __slots__ = ()
 
@@ -57,17 +57,17 @@ class FrobeniusResult(namedtuple(
 
 
 def validate_triple(x1: int, x2: int, x3: int) -> ValidatedTriple:
-    """Sort, check pairwise coprimality, and flag a degenerate member.
+    """Sort, check pairwise coprimality, flag a degenerate member, and invert a3 mod a1.
 
-    Only a3 can be a positive combination u*a1 + w*a2 of the other two.  The least
-    u >= 1 with u*a1 = a3 (mod a2) is a3*a1^-1 mod a2 (never 0: a2 does not divide
-    a3), and a3 is such a combination iff a3 - u*a1 >= a2 for that u.  This is Sylvester's
-    criterion; oracle_least_multiple keeps its own copy, as a reference shares no code
-    with the path it checks."""
+    One inverse, z = (a2*a3)^-1 mod a1, gives a3^-1 = a2*z and a2^-1 = a3*z (Montgomery's
+    trick).  Only a3 can be u*a1 + w*a2 with u, w >= 1: the least w >= 1 with w*a2 = a3
+    (mod a1) is a3^2*z mod a1, and a3 is one iff a3 - w*a2 >= a1 (Sylvester's criterion;
+    oracle_least_multiple keeps its own copy, as a reference shares no code with the path)."""
     a1, a2, a3 = sorted((x1, x2, x3))
     check_generators(a1, a2, a3)
-    degenerate = a3 >= a1 + a2 and a3 - a3 * pow(a1, -1, a2) % a2 * a1 >= a2
-    return ValidatedTriple(a1, a2, a3, degenerate)
+    z = pow(a2 * a3, -1, a1)
+    degenerate = a3 >= a1 + a2 and a3 - a3 * a3 * z % a1 * a2 >= a1
+    return ValidatedTriple(a1, a2, a3, degenerate, a2 * z % a1)
 
 
 def least_multiples_all(t: ValidatedTriple) -> tuple[
@@ -84,7 +84,7 @@ def least_multiples_all(t: ValidatedTriple) -> tuple[
     if t.degenerate:
         raise InvalidInputError("least multiples are only defined for non-degenerate triples")
     a1, a2, a3 = t.generators
-    c2, trace = find_least_multiple(WalkInput._make((a2, a1, a3)))  # t is validated
+    c2, trace = find_least_multiple(WalkInput._make((a2, a1, a3)), t.inv_a3)  # t is validated
     p, v, q = trace.penultimate
     c1 = MultipleCertificate(m=p, u=v, w=q, target=a1, pair_a=a2, pair_c=a3)
     c3 = MultipleCertificate(m=q + c2.w, u=p - c2.u, w=c2.m - v, target=a3, pair_a=a1, pair_c=a2)

@@ -12,7 +12,7 @@ differences, with one more division.  While p has more than 2*W bits, whole pass
 off the leading W bits of (d, p) and applied in Lehmer batches (_walk gives the argument).
 WalkInput stores the pair as a < c, and the certificate and the trace follow that
 order.  find_least_multiple counts the steps against the budget and checks the
-certificate it returns with exact arithmetic.  The trace keeps the row
+certificate it returns with exact arithmetic.  The trace keeps the passes and the row
 before the last; solver.least_multiples_all reads the least multiples of a and c
 off the two rows.
 """
@@ -42,16 +42,27 @@ class WalkInput(namedtuple("WalkInput", "b a c")):
 WalkStep = namedtuple("WalkStep", "k p v q")
 
 
-class WalkTrace(namedtuple("WalkTrace", "input t0 p0 n_steps penultimate iterations k2_run_max")):
-    """Initialization values, counts and next-to-last row of a finished walk.
+class WalkTrace(namedtuple("WalkTrace", "input t0 p0 passes penultimate")):
+    """Initialization values, passes and next-to-last row of a finished walk.
 
-    `penultimate` is the (p, v, q) of row n_steps - 1, the last row with q >= 0
-    (row 0 is (p0, 1, t0)).  `iterations` counts one per k != 2 row and one per k = 2 run,
-    not the walk's passes, and `k2_run_max` is the longest run's step count.  The other
-    (k_i, p_i, v_i, q_i) rows are not stored: `steps` replays the walk from `input`, `t0`
-    and `p0` and expands its passes into rows when a caller asks for them."""
+    `passes` are _walk's (x, j): j rows, the first with k = x + 2 and the rest a k = 2 run.
+    The counts are read off them; `iterations` is one per k != 2 row and one per k = 2 run.
+    `penultimate` is the (p, v, q) of row n_steps - 1, the last with q >= 0 (row 0 is
+    (p0, 1, t0)); the other rows are not stored, and `steps` expands the passes on request."""
 
     __slots__ = ()
+
+    @property
+    def n_steps(self) -> int:
+        return sum(j for _, j in self.passes)
+
+    @property
+    def iterations(self) -> int:
+        return sum((x != 0) + (j > (x != 0)) for x, j in self.passes)
+
+    @property
+    def k2_run_max(self) -> int:
+        return max((j - (x != 0) for x, j in self.passes), default=0)
 
     @property
     def inv_p0(self) -> int:
@@ -62,10 +73,9 @@ class WalkTrace(namedtuple("WalkTrace", "input t0 p0 n_steps penultimate iterati
     def steps(self) -> tuple[WalkStep, ...]:
         # each pass (x, j) sets D -= x*P, visits the rows P - m*D for m = 1..j, and sets
         # P -= j*D: the walk's own updates, by multiplication only
-        passes, _ = _walk(self.input, self.t0, self.p0)
         (p, v, q), (d, e, f) = _start(self.input, self.t0, self.p0)
         rows = []
-        for x, j in passes:
+        for x, j in self.passes:
             d, e, f = d - x * p, e - x * v, f - x * q
             rows += (WalkStep(x + 2 if m == 1 else 2, p - m * d, v - m * e, q - m * f)
                      for m in range(1, j + 1))
@@ -142,8 +152,8 @@ def _walk(inp: WalkInput, t0: int, p0: int):
     end.  q strictly falls along the rows, as f = (d*a - e*b)/c > 0 with d > 0 and e <= 0
     (v never falls after row 0), so then no row of the batch stopped the walk and no pass
     was cut.  A batch that certifies no pass (a partial quotient near 2^(W/2) or more, such
-    as a long k = 2 run) or that ends with q < 0 leaves the rest of the walk to the exact
-    pass.  The walk counts nothing; find_least_multiple adds up the j."""
+    as a long k = 2 run) leaves that pass to the exact step, and batches resume after it; a
+    batch that ends with q < 0 leaves the rest of the walk to the exact pass."""
     (p, v, q), (d, e, f) = _start(inp, t0, p0)
     passes = []
     batches = True
@@ -157,7 +167,7 @@ def _walk(inp: WalkInput, t0: int, p0: int):
                 f, q = A * f + B * q, q_end
                 passes += batch
                 continue
-            batches = False
+            batches = not batch  # after an empty batch, one exact pass and then another batch
         x, d = divmod(d, p)
         if d == 0:
             raise InvariantViolation(f"walk reached p = 1 without stopping for {inp}")
@@ -191,14 +201,13 @@ def _leading_passes(d: int, p: int):
     return batch, (A, B, C, D)
 
 
-def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]:
+def find_least_multiple(inp: WalkInput, inv_c=None) -> tuple[MultipleCertificate, WalkTrace]:
     """Run the walk to termination; return the certificate and the trace, both in
-    inp's pair order (a < c).
+    inp's pair order (a < c).  inv_c is c^-1 mod a if the caller has it (solver does).
 
-    The steps are counted here, j for each pass, against default_step_budget(c):
-    StepBudgetExceeded is raised exactly when one step at a time would have taken more
-    steps than the budget.  The passes are at most about half of Euclid's divisions on
-    (c, p0), so the walk runs to its end before they are counted.
+    The trace's n_steps (the passes' j summed) are checked against default_step_budget(c)
+    once the walk ends, as its passes are at most about half of Euclid's divisions on
+    (c, p0): StepBudgetExceeded is raised exactly when one step at a time would go over.
     The certificate is checked once, at the end (m, u, w >= 1, v*b = p*a - q*c), and that
     covers p0 = (b + c*t0) // a too: the defect δ_i = p_i*a - v_i*b - q_i*c follows the
     walk's recurrence from δ_{-1} = 0 and δ_0 = -rem, as v does from (0, 1), so
@@ -206,27 +215,18 @@ def find_least_multiple(inp: WalkInput) -> tuple[MultipleCertificate, WalkTrace]
     """
     b, a, c = inp.b, inp.a, inp.c
     # t0 = (-b * c^-1) mod a and p0 = (b + c*t0)/a, so p0*a = b (mod c)
-    t0 = -b * pow(c, -1, a) % a
+    t0 = -b * (pow(c, -1, a) if inv_c is None else inv_c) % a
     p0 = (b + c * t0) // a
     # row 0 is (p0, 1, t0) with t0 >= 1 (a does not divide b): the walk takes a step
     passes, (penultimate, (p, v, q)) = _walk(inp, t0, p0)
+    trace = WalkTrace(input=inp, t0=t0, p0=p0, passes=tuple(passes), penultimate=penultimate)
     max_steps = default_step_budget(c)
-    n = iterations = k2_run_max = 0
-    for x, j in passes:
-        n += j
-        # the pass's first row is one iteration unless x = 0 (k = 2); the rest are a k = 2 run
-        run = j - (x != 0)
-        iterations += (x != 0) + (run > 0)
-        if run > k2_run_max:
-            k2_run_max = run
-    if n > max_steps:
+    if trace.n_steps > max_steps:
         raise StepBudgetExceeded(f"walk exceeded {max_steps} steps for (b={b}, a={a}, c={c})")
     if min(v, p, -q) < 1 or v * b != p * a - q * c:
         raise InvariantViolation(f"walk certificate fails for {inp}: need m, u, w >= 1 and "
                                  f"{v}*{b} = {p}*{a} + {-q}*{c}")
-    cert = MultipleCertificate(m=v, u=p, w=-q, target=b, pair_a=a, pair_c=c)
-    return cert, WalkTrace(input=inp, t0=t0, p0=p0, n_steps=n, penultimate=penultimate,
-                           iterations=iterations, k2_run_max=k2_run_max)
+    return MultipleCertificate(m=v, u=p, w=-q, target=b, pair_a=a, pair_c=c), trace
 
 
 def trace_rows(trace: WalkTrace) -> list[tuple[int, int | None, int, int, int]]:

@@ -140,6 +140,13 @@ class TestLeastMultiple:
         code, _, _ = run(capsys, "least-multiple", "10", "--pair", "4", "6")
         assert code == 2
 
+    def test_over_budget_exit_3(self, capsys):
+        # one k = 2 run of 1500 rows against a budget of 1,300 steps: one line, no traceback
+        code, out, err = run(capsys, "least-multiple", "1501", "--pair", "1500", "3001")
+        assert (code, out) == (3, "")
+        assert err == ("step budget exceeded: "
+                       "walk exceeded 1300 steps for (b=1501, a=1500, c=3001)\n")
+
     def test_pair_order_does_not_matter(self, capsys):
         # the pair is printed, serialized and walked in ascending order whichever order is given
         for target, x, y in (("8231", "9533", "7523"), ("11", "3", "2")):

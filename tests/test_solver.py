@@ -1,3 +1,4 @@
+import builtins
 import importlib
 import itertools
 import json
@@ -67,6 +68,28 @@ class TestValidateTriple:
         assert triples == 9245
         assert validate_triple(5, 7, 12).degenerate  # 12 = 5 + 7
         assert not validate_triple(5, 7, 11).degenerate
+
+    @pytest.mark.parametrize("digits, count", [(100, 60), (1000, 20), (3000, 12)])
+    def test_degenerate_matches_mod_a2_reference(self, digits, count):
+        # near-degenerate a3 = u*a1 + w*a2 + delta, delta in {-1, 0, 1}, below a1*a2; the
+        # reference is Sylvester's criterion taken mod a2: the least u >= 1 with
+        # u*a1 = a3 (mod a2), and a3 - u*a1 >= a2
+        rng = random.Random(digits)
+        outcomes = set()
+        for delta in (-1, 0, 1):
+            triples = 0
+            while triples < count:
+                a1, a2 = sorted(rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(2))
+                u = rng.choice((1, rng.randrange(1, a2 // 2)))
+                w = rng.choice((1, rng.randrange(1, a1 // 2)))
+                a3 = u * a1 + w * a2 + delta
+                if math.gcd(a1, a2) * math.gcd(a1, a3) * math.gcd(a2, a3) != 1:
+                    continue
+                want = a3 >= a1 + a2 and a3 - a3 * pow(a1, -1, a2) % a2 * a1 >= a2
+                assert validate_triple(a2, a3, a1).degenerate is want, (a1, a2, a3)
+                outcomes.add((delta, want))
+                triples += 1
+        assert outcomes == {(-1, False), (-1, True), (0, True), (1, False), (1, True)}
 
     def test_non_coprime_names_pair(self):
         with pytest.raises(NotPairwiseCoprimeError) as exc:
@@ -306,12 +329,40 @@ class TestFrobenius:
     def test_one_walk_per_triple(self, monkeypatch):
         calls = []
         walk = solver.find_least_multiple
-        monkeypatch.setattr(solver, "find_least_multiple", lambda inp: calls.append(inp) or walk(inp))
+        monkeypatch.setattr(solver, "find_least_multiple",
+                            lambda inp, inv_c: calls.append(inp) or walk(inp, inv_c))
         for triple, walks in (((3, 5, 7), 1), ((3, 5, 8), 0), ((7523, 8231, 9533), 1),
                               ((100003, 100004, 100005), 1)):
             calls.clear()
             frobenius(*triple)
             assert len(calls) == walks, triple
+
+    @pytest.mark.parametrize("digits", [100, 1000])
+    def test_one_inverse_per_triple(self, monkeypatch, digits):
+        # z = (a2*a3)^-1 mod a1 decides degeneracy and starts the walk, also when
+        # a3 >= a1 + a2 (the case with a degeneracy test to run) and on a degenerate triple
+        inverses = []
+
+        def counted(x, e, m=None):
+            inverses.append(e)
+            return builtins.pow(x, e, m)
+
+        for name in ("solver", "walk"):
+            monkeypatch.setattr(f"frobenius3.{name}.pow", counted, raising=False)
+        rng = random.Random(digits)
+        lo = 10 ** (digits - 1)
+        triples = []
+        while len(triples) < 4:
+            a1, a2 = (rng.randrange(lo, 4 * lo) for _ in range(2))
+            a3 = rng.randrange(a1 + a2, 10 ** digits)
+            if len(triples) == 3:  # degenerate: 1*a1 + 1*a2
+                a3 = a1 + a2
+            if math.gcd(a1, a2) * math.gcd(a1, a3) * math.gcd(a2, a3) == 1:
+                triples.append((a1, a2, a3))
+        for triple in triples:
+            inverses.clear()
+            assert frobenius(*triple).degenerate is (triple == triples[-1])
+            assert inverses == [-1], triple
 
     def test_generators_checked_once(self, monkeypatch):
         calls = []

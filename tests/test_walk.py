@@ -331,21 +331,21 @@ class TestLehmerBatches:
                 walks += 1
         assert batched == []
 
-    @pytest.mark.parametrize("at", [2, 10])
-    def test_quotient_above_two_to_the_w(self, batched, at):
-        # x = 2^(W+6) + 1 on pass at // 2, far above 2*W bits.  At 2 the first batch finds
-        # p's leading bits 0; at 10 a batch stops short of the pass before it, whose p is
-        # below the batch's precision.  Either way the next batch certifies no pass, and the
-        # exact pass takes the rest of the walk.
+    @pytest.mark.parametrize("at, big", [(2, 2 ** (walk.W + 6) + 1), (10, 2 ** (walk.W + 6) + 1),
+                                         (2, 2 ** 200 + 1)], ids=["2", "10", "2-2^200"])
+    def test_quotient_above_two_to_the_w(self, batched, at, big):
+        # x = big on pass at // 2, far above 2*W bits.  At 2 the first batch finds p's
+        # leading bits 0; at 10 a batch stops short of the pass before it, whose p is below
+        # the batch's precision.  Either way a batch certifies no pass, the exact pass takes
+        # that pass, and the batches resume after it: the walk's last batch certifies passes.
         rng = random.Random(at)
-        big = 2 ** (walk.W + 6) + 1
         quotients = [1] + [rng.randint(1, 4) for _ in range(at - 1)] + [big]
         quotients += [rng.randint(1, 4) for _ in range(700)] + [2]
         inp = input_from_quotients(quotients, rng)
         got = outcome(collapsed_walk, inp)
         assert got == outcome(reference_walk, inp), inp
         assert big + 2 in [k for k, *_ in got[1]]
-        assert batched[-1] == 0 and (at == 2) == (batched[0] == 0)
+        assert (at == 2) == (batched[0] == 0) and 0 in batched and batched[-1] > 0
 
     @pytest.mark.parametrize("bits", [2 * walk.W - 2, 2 * walk.W, 2 * walk.W + 1,
                                       2 * walk.W + 3, 2 * walk.W + 16])
@@ -479,6 +479,15 @@ class TestTraceInvariants:
                 assert vs[1] == ks[0] % c
             for i in range(2, len(vs)):
                 assert vs[i] == (ks[i - 1] * vs[i - 1] - vs[i - 2]) % c
+
+    def test_steps_expand_the_stored_passes(self, monkeypatch):
+        # the trace keeps the passes it walked: its rows run no second walk
+        traces = [find_least_multiple(inp)[1] for inp in (GOLDEN, *random_inputs(300, 2, 7))]
+        calls = []
+        monkeypatch.setattr(walk, "_walk", lambda *args: calls.append(args))
+        for tr in traces:
+            assert [tuple(s) for s in tr.steps] == reference_walk(tr.input)[1]
+        assert calls == []
 
     def test_step_budget_property(self):
         # step count stays within the default budget on random inputs

@@ -12,7 +12,7 @@ import math
 import sys
 
 from .errors import InvalidInputError, InvariantViolation, StepBudgetExceeded
-from .oracle import MAX_MODULUS, NONNEG, oracle_frobenius, oracle_least_multiple
+from .oracle import MAX_MODULUS, oracle_frobenius, oracle_least_multiple
 from .solver import frobenius, result_to_json
 from .walk import WalkInput, certificate_to_json, find_least_multiple, trace_table, trace_to_json
 
@@ -140,8 +140,8 @@ def cmd_verify(args) -> int:
     walks = 0
     for a1, a2, a3 in _iter_valid_triples(args.max):
         res = frobenius(a1, a2, a3)
-        # one table: the POSITIVE-convention answer is the NONNEG one plus the generator sum
-        want_g = oracle_frobenius((a1, a2, a3), NONNEG)
+        # f_pos, the largest gap with positive coefficients, is g shifted by the generator sum
+        want_g = oracle_frobenius((a1, a2, a3))
         want_f = want_g + a1 + a2 + a3
         if res.g != want_g or res.f_pos != want_f:
             print(f"MISMATCH at ({a1},{a2},{a3}): "

@@ -4,6 +4,8 @@ An independent reference for the walk/certificate fast path, in tests and `frob3
 oracle_frobenius and oracle_representable read a Brauer–Shockley residue table, and
 oracle_least_multiple tests each candidate multiple with Sylvester's two-generator criterion,
 where the walk develops a continued fraction. The two share a library inverse, not logic.
+Combinations here have coefficients >= 0; one with every coefficient >= 1 is such a
+combination plus the generator sum, so f_pos = oracle_frobenius(gens) + sum(gens).
 
 The domain is the package's: at least two generators, pairwise coprime (errors.check_generators).
 One guard bounds every loop here: once the inputs are checked, a table or scan modulus above
@@ -16,9 +18,6 @@ from .walk import MultipleCertificate
 # the one guard: the most turns of any oracle loop, so the largest table modulus a1
 # (residue_table) and the largest scan modulus y (oracle_least_multiple)
 MAX_MODULUS = 10**6
-
-NONNEG = "nonneg"
-POSITIVE = "positive"
 
 
 def _checked_generators(generators) -> list:
@@ -66,18 +65,15 @@ def _table(gens: list) -> list:
     return table
 
 
-def oracle_frobenius(generators, convention: str = NONNEG) -> int:
-    """Largest non-representable integer: the largest table entry minus the modulus a1,
-    since every table entry t is the least representable number of its class and
-    t - a1 the largest one that is not; residue_table checks the generators and the guard."""
+def oracle_frobenius(generators) -> int:
+    """Largest integer that is no nonnegative combination of the generators: the largest
+    table entry minus the modulus a1, since every table entry t is the least representable
+    number of its class and t - a1 the largest one that is not; residue_table checks the
+    generators and the guard."""
     gens = sorted(generators)
     if len(gens) != 3:
         raise InvalidInputError("oracle_frobenius expects exactly three generators")
-    if convention not in (NONNEG, POSITIVE):
-        raise InvalidInputError(f"unknown convention {convention!r}")
-    g = max(residue_table(gens)) - gens[0]
-    # n is positive-representable iff n - total is nonneg-representable
-    return g + sum(gens) if convention == POSITIVE else g
+    return max(residue_table(gens)) - gens[0]
 
 
 def oracle_least_multiple(target: int, pair) -> MultipleCertificate:
@@ -109,16 +105,11 @@ def oracle_least_multiple(target: int, pair) -> MultipleCertificate:
     raise InvariantViolation(f"no multiple of {target} below {y} is representable by ({x}, {y})")
 
 
-def oracle_representable(n: int, generators, convention: str = NONNEG) -> bool:
-    """Exact representability check: n is representable iff n >= table[n mod a1]."""
+def oracle_representable(n: int, generators) -> bool:
+    """Whether n is a nonnegative combination of the generators: iff n >= table[n mod a1]."""
     if n < 0:
         raise InvalidInputError("n must be >= 0")
     gens = _checked_generators(generators)
-    if convention == POSITIVE:
-        # n is positive-representable iff n - total is nonneg-representable
-        n -= sum(gens)
-    elif convention != NONNEG:
-        raise InvalidInputError(f"unknown convention {convention!r}")
     if n < gens[0]:
         # below a1 only 0, the empty sum, is representable; no table is built
         return n == 0

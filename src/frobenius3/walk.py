@@ -104,7 +104,12 @@ def default_step_budget(c: int) -> int:
 
 def _start(inp: WalkInput, t0: int, p0: int):
     """Row 0, P = (p0, 1, t0), and D = row_{-1} - row_0, with row -1 scaled by
-    s = max(1, p0 // c)."""
+    s = max(1, p0 // c).
+
+    The start is scaled (p0 > c) exactly when m = 1, that is, when b itself is u*a + w*c
+    with u, w >= 1: r = p0 mod c is the least u >= 1 with u*a = b (mod c), so by Sylvester's
+    criterion b is one iff b - r*a >= c, and b - r*a = c*(s*a - t0) with s = p0 // c, which
+    is >= c iff s >= 1, as 1 <= t0 < a."""
     s = p0 // inp.c or 1
     return (p0, 1, t0), (s * inp.c - p0, -1, s * inp.a - t0)
 

@@ -16,7 +16,7 @@ from frobenius3.bench import BenchConfig, random_coprime_triple, run_bench
 from frobenius3.oracle import oracle_frobenius, oracle_least_multiple
 from frobenius3.solver import frobenius, least_multiples_all, validate_triple
 from frobenius3.walk import WalkInput, find_least_multiple
-from test_solver import crt
+from support import coprime_triples, pairwise_coprime, positive_representable
 
 LIMIT = 60
 
@@ -27,22 +27,14 @@ def report(n, ok, detail=""):
     assert ok, f"criterion {n} failed: {detail}"
 
 
-def coprime_triples(limit):
-    for a1 in range(2, limit - 1):
-        for a2 in range(a1 + 1, limit):
-            if math.gcd(a1, a2) != 1:
-                continue
-            for a3 in range(a2 + 1, limit + 1):
-                if math.gcd(a1, a3) == 1 and math.gcd(a2, a3) == 1:
-                    yield a1, a2, a3
-
-
 def test_criterion_1_exhaustive_frobenius_vs_oracle():
     start = time.monotonic()
     count = 0
     for triple in coprime_triples(LIMIT):
         r = frobenius(*triple)
-        if r.g != oracle_frobenius(triple) or r.f_pos != oracle_frobenius(triple, "positive"):
+        g = oracle_frobenius(triple)
+        # f_pos, the largest gap with positive coefficients, is g shifted by the generator sum
+        if (r.g, r.f_pos) != (g, g + sum(triple)):
             report(1, False, f"mismatch at {triple}")
         count += 1
     elapsed = time.monotonic() - start
@@ -148,47 +140,31 @@ def test_iterations_follow_euclid_length_law():
         assert 0.45 <= above / euclid <= 0.55, (digits, above / euclid)
 
 
-def test_criterion_7a_crt_property():
-    rng = random.Random(777)
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-              59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
-    for _ in range(10_000):
-        ms = rng.sample(primes, k=3)
-        rs = [rng.randrange(0, m) for m in ms]
-        x = crt(rs, ms)
-        if not (0 <= x < math.prod(ms)) or [x % m for m in ms] != rs:
-            report("7a", False, f"CRT failure at residues {rs} mod {ms}")
-    report("7a", True, "(10000 CRT instances)")
-
-
 def test_criterion_7b_result_invariants_and_representable_term():
-    def brute_pair_positive(n, x, y):
-        return any((n - u * x) > 0 and (n - u * x) % y == 0 and (n - u * x) // y >= 1
-                   for u in range(1, max(n // x, 1) + 1))
-
     rng = random.Random(888)
     checked = 0
     while checked < 1000:
         vals = sorted(rng.sample(range(2, 61), 3))
-        a1, a2, a3 = vals
-        if math.gcd(a1, a2) != 1 or math.gcd(a1, a3) != 1 or math.gcd(a2, a3) != 1:
+        if not pairwise_coprime(vals):
             continue
-        r = frobenius(a1, a2, a3)
-        if r.f_pos - r.g != a1 + a2 + a3:
-            report("7b", False, f"convention bridge fails at {vals}")
+        r = frobenius(*vals)
         checked += 1
         if r.degenerate:
             continue
-        for cert, d in zip(r.certificates, r.decompositions):
-            if cert.m * cert.target != cert.u * cert.pair_a + cert.w * cert.pair_c:
-                report("7b", False, f"certificate identity fails at {vals}")
-            if r.f_pos != d.multiplier * d.generator + d.partner_coeff * d.partner:
-                report("7b", False, f"decomposition identity fails at {vals}")
-            # exactly one term of each decomposition is pair-representable,
-            # and it is the least-multiple term
+        # f_pos is the larger candidate, and each candidate lies in [0, a1*a2*a3), where its
+        # system has one solution
+        candidates = (r.candidate_a, r.candidate_b)
+        if r.f_pos != max(candidates) or not all(0 <= x < math.prod(vals) for x in candidates):
+            report("7b", False, f"candidates fail at {vals}")
+        for d in r.decompositions:
+            if (min(d.multiplier, d.partner_coeff) < 1
+                    or r.f_pos != d.multiplier * d.generator + d.partner_coeff * d.partner):
+                report("7b", False, f"decomposition identity fails at {vals}: {d}")
+            # exactly one term of each decomposition is a positive combination of the other
+            # two generators, and it is the least-multiple term
             third = (set(vals) - {d.generator, d.partner}).pop()
-            lead_rep = brute_pair_positive(d.multiplier * d.generator, d.partner, third)
-            partner_rep = brute_pair_positive(d.partner_coeff * d.partner, d.generator, third)
+            lead_rep = positive_representable(d.multiplier * d.generator, (d.partner, third))
+            partner_rep = positive_representable(d.partner_coeff * d.partner, (d.generator, third))
             if not lead_rep or partner_rep:
                 report("7b", False, f"representable-term pattern fails at {vals}: {d}")
     report("7b", True, f"({checked} random small triples)")
@@ -198,15 +174,14 @@ def test_criterion_7c_role_symmetry():
     rng = random.Random(999)
     checked = 0
     while checked < 1000:
-        vals = rng.sample(range(2, 300), 3)
-        b, x, y = vals
-        if math.gcd(b, x) != 1 or math.gcd(b, y) != 1 or math.gcd(x, y) != 1:
+        b, x, y = rng.sample(range(2, 300), 3)
+        if not pairwise_coprime((b, x, y)):
             continue
-        # same minimum either way; each certificate's identity is exact
-        # (find_least_multiple checks it).
-        c1, _ = find_least_multiple(WalkInput(b=b, a=x, c=y))
-        c2, _ = find_least_multiple(WalkInput(b=b, a=y, c=x))
-        if c1.m != c2.m:
+        # the same certificate and trace either way, with the pair in ascending order; the
+        # certificate's identity is exact (find_least_multiple checks it)
+        cert, trace = find_least_multiple(WalkInput(b=b, a=x, c=y))
+        if ((cert, trace) != find_least_multiple(WalkInput(b=b, a=y, c=x))
+                or (cert.pair_a, cert.pair_c) != (min(x, y), max(x, y))):
             report("7c", False, f"role asymmetry at target={b}, pair=({x},{y})")
         checked += 1
     report("7c", True, f"({checked} pair/target combinations)")

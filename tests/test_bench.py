@@ -1,5 +1,4 @@
 import csv
-import math
 import random
 
 import pytest
@@ -14,8 +13,8 @@ from frobenius3.bench import (
     write_csv,
 )
 from frobenius3.errors import InvalidInputError
-from frobenius3.oracle import oracle_representable
 from frobenius3.solver import validate_triple
+from support import pairwise_coprime, positive_representable
 
 
 class TestRandomCoprimeTriple:
@@ -27,8 +26,8 @@ class TestRandomCoprimeTriple:
     def test_pairwise_coprime_and_nondegenerate(self):
         for i in range(30):
             a1, a2, a3 = random_coprime_triple(3, random.Random(i)).generators
-            assert math.gcd(a1, a2) == math.gcd(a1, a3) == math.gcd(a2, a3) == 1
-            assert not oracle_representable(a3, (a1, a2), "positive")
+            assert pairwise_coprime((a1, a2, a3))
+            assert not positive_representable(a3, (a1, a2))
 
     def test_digit_count(self):
         for digits in (2, 10, 1000):

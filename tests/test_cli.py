@@ -179,7 +179,7 @@ class TestVerify:
 
     def test_frobenius_mismatch_exit_4(self, capsys, monkeypatch):
         # the first triple, (2, 3, 5), has g = 1
-        monkeypatch.setattr(cli, "oracle_frobenius", lambda gens, convention: 0)
+        monkeypatch.setattr(cli, "oracle_frobenius", lambda gens: 0)
         code, out, err = run(capsys, "verify", "--max", "10")
         assert code == 4
         assert out == "MISMATCH at (2,3,5): got g=1 f_pos=11, oracle g=0 f_pos=10\n"

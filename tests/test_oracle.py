@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -14,6 +13,7 @@ from frobenius3.oracle import (
 )
 from frobenius3.solver import frobenius
 from frobenius3.walk import WalkInput, find_least_multiple
+from support import pairwise_coprime, positive_representable
 
 
 class TestResidueTable:
@@ -40,7 +40,6 @@ class TestResidueTable:
 class TestOracleFrobenius:
     def test_examples(self):
         assert oracle_frobenius((3, 5, 7)) == 4
-        assert oracle_frobenius((3, 5, 7), "positive") == 19
         assert oracle_frobenius((5, 7, 9)) == 13
 
     def test_gaps_357(self):
@@ -67,7 +66,7 @@ class TestOracleFrobenius:
             while True:
                 triple = (rng.randrange(10 ** (a1_digits - 1), 10**a1_digits),
                           *(rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(2)))
-                if all(math.gcd(x, y) == 1 for x, y in itertools.combinations(triple, 2)):
+                if pairwise_coprime(triple):
                     res = frobenius(*triple)
                     if not res.degenerate:
                         break
@@ -79,17 +78,6 @@ class TestOracleFrobenius:
             with pytest.raises(InvalidInputError):
                 oracle_frobenius(gens)
 
-    def test_unknown_convention(self):
-        with pytest.raises(InvalidInputError):
-            oracle_frobenius((3, 5, 7), "weird")
-        # checked with the inputs, before the guard and the table
-        with pytest.raises(InvalidInputError):
-            oracle_frobenius((MAX_MODULUS + 1, MAX_MODULUS + 2, MAX_MODULUS + 3), "weird")
-
-    def test_convention_shift(self):
-        for triple in ((3, 5, 7), (5, 7, 9), (7, 9, 11)):
-            assert (oracle_frobenius(triple, "positive")
-                    == oracle_frobenius(triple) + sum(triple))
 
 
 class TestOracleLeastMultiple:
@@ -124,7 +112,7 @@ class TestOracleLeastMultiple:
                         return m, (m * b - w * y) // x, w
 
         for b, x, y in itertools.product(range(2, 41), repeat=3):
-            if x < y and math.gcd(b, x) == math.gcd(b, y) == math.gcd(x, y) == 1:
+            if x < y and pairwise_coprime((b, x, y)):
                 cert = oracle_least_multiple(b, (x, y))
                 assert (cert.m, cert.u, cert.w) == least_multiple(b, x, y), (b, x, y)
                 assert cert.m < y
@@ -142,7 +130,7 @@ class TestOracleLeastMultiple:
         checked = 0
         while checked < 8:
             b, x, y = (rng.randrange(10**4, MAX_MODULUS + 1) for _ in range(3))
-            if x * y <= 10**8 or math.gcd(b, x * y) != 1 or math.gcd(x, y) != 1:
+            if x * y <= 10**8 or not pairwise_coprime((b, x, y)):
                 continue
             cert = oracle_least_multiple(b, (x, y))
             walk_cert = find_least_multiple(WalkInput(b=b, a=x, c=y))[0]
@@ -152,8 +140,8 @@ class TestOracleLeastMultiple:
 
 class TestOracleRepresentable:
     def test_examples(self):
-        assert not oracle_representable(19, [3, 5, 7], "positive")
-        assert oracle_representable(20, [3, 5, 7], "positive")  # 20 = 2*3 + 7 + 7
+        assert not positive_representable(19, [3, 5, 7])
+        assert positive_representable(20, [3, 5, 7])  # 20 = 2*3 + 7 + 7
         assert oracle_representable(0, [3, 5, 7])
 
     def test_ordering_independence(self):
@@ -161,29 +149,17 @@ class TestOracleRepresentable:
             assert not oracle_representable(4, perm)
             assert oracle_representable(10, perm)
 
-    def test_positive_vs_shift(self):
-        gens = (3, 5, 7)
-        total = sum(gens)
-        for n in range(total, 60):
-            assert (oracle_representable(n, gens, "positive")
-                    == oracle_representable(n - total, gens))
-
     def test_rejects_negative(self):
         with pytest.raises(InvalidInputError):
             oracle_representable(-1, (3, 5, 7))
-
-    def test_unknown_convention(self):
-        with pytest.raises(InvalidInputError):
-            oracle_representable(5, (3, 5, 7), "weird")
 
     def test_rejects_bad_generators_for_every_n(self):
         # the generators are checked before n decides anything, as residue_table checks them:
         # at least two, pairwise coprime. (6, 10, 15) is coprime only as a set
         for gens in ((), (1,), (7,), (1, 5), (0, 3), (3, 5, 1), (6, 10, 15), (4, 7, 10)):
             for n in (0, 1, 3, 4, 100):
-                for convention in ("nonneg", "positive"):
-                    with pytest.raises(InvalidInputError):
-                        oracle_representable(n, gens, convention)
+                with pytest.raises(InvalidInputError):
+                    oracle_representable(n, gens)
             with pytest.raises(InvalidInputError):
                 residue_table(gens)
         with pytest.raises(NotPairwiseCoprimeError):

@@ -2,21 +2,15 @@
 
 Derandomized and without an example database, so runs are repeatable and write nothing."""
 
-import itertools
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobenius3.oracle import oracle_frobenius, oracle_least_multiple
 from frobenius3.solver import frobenius
 from frobenius3.walk import WalkInput, find_least_multiple
+from support import pairwise_coprime
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
-
-
-def pairwise_coprime(values):
-    return all(math.gcd(x, y) == 1 for x, y in itertools.combinations(values, 2))
 
 
 def coprime_values(limit):

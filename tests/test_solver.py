@@ -20,13 +20,7 @@ from frobenius3.solver import (
     validate_triple,
 )
 from frobenius3.walk import MultipleCertificate, WalkInput
-
-
-def crt(residues, moduli):
-    """Least x >= 0 with x = r (mod m) for each (r, m); the moduli pairwise coprime."""
-    modulus = math.prod(moduli)
-    return sum(r * (modulus // m) * pow(modulus // m, -1, m)
-               for r, m in zip(residues, moduli)) % modulus
+from support import coprime_triples, crt, pairwise_coprime
 
 
 class TestCrtHelper:
@@ -38,12 +32,6 @@ class TestCrtHelper:
         assert len(solutions) == math.prod(moduli)
         for residues, x in solutions.items():
             assert crt(residues, moduli) == x
-
-
-def assert_davison_sylvester(r):
-    # Davison 1994 bounds g below; g(a1, a2) = a1*a2 - a1 - a2 (Sylvester) bounds it above
-    a1, a2, a3 = r.a1, r.a2, r.a3
-    assert math.isqrt(3 * a1 * a2 * a3) - a1 - a2 - a3 <= r.g <= a1 * a2 - a1 - a2
 
 
 class TestValidateTriple:
@@ -59,9 +47,7 @@ class TestValidateTriple:
     def test_degenerate_matches_definition(self):
         # degenerate exactly when a3 = u*a1 + w*a2 with u, w >= 1, on every triple up to 60
         triples = 0
-        for a1, a2, a3 in itertools.combinations(range(2, 61), 3):
-            if math.gcd(a1, a2) != 1 or math.gcd(a1, a3) != 1 or math.gcd(a2, a3) != 1:
-                continue
+        for a1, a2, a3 in coprime_triples(60):
             want = any((a3 - u * a1) % a2 == 0 for u in range(1, (a3 - a2) // a1 + 1))
             assert validate_triple(a3, a1, a2).degenerate is want, (a1, a2, a3)
             triples += 1
@@ -83,7 +69,7 @@ class TestValidateTriple:
                 u = rng.choice((1, rng.randrange(1, a2 // 2)))
                 w = rng.choice((1, rng.randrange(1, a1 // 2)))
                 a3 = u * a1 + w * a2 + delta
-                if math.gcd(a1, a2) * math.gcd(a1, a3) * math.gcd(a2, a3) != 1:
+                if not pairwise_coprime((a1, a2, a3)):
                     continue
                 want = a3 >= a1 + a2 and a3 - a3 * pow(a1, -1, a2) % a2 * a1 >= a2
                 assert validate_triple(a2, a3, a1).degenerate is want, (a1, a2, a3)
@@ -203,25 +189,22 @@ class TestCongruenceSystems:
 
     def test_candidates_equal_crt_small(self):
         checked = 0
-        for a3 in range(4, 31):
-            for a2 in range(3, a3):
-                for a1 in range(2, a2):
-                    if math.gcd(a1, a2) * math.gcd(a1, a3) * math.gcd(a2, a3) != 1:
-                        continue
-                    r = frobenius(a1, a2, a3)
-                    if r.degenerate:
-                        continue
-                    assert (r.candidate_a, r.candidate_b) == self.crt_candidates(r)
-                    checked += 1
+        for triple in coprime_triples(30):
+            r = frobenius(*triple)
+            if not r.degenerate:
+                assert (r.candidate_a, r.candidate_b) == self.crt_candidates(r)
+                checked += 1
         assert checked == 732
 
     @pytest.mark.parametrize("digits", [100, 1000])
     def test_candidates_equal_crt_large(self, digits):
         rng = random.Random(8)
         for _ in range(3):
-            r = frobenius(*random_coprime_triple(digits, rng).generators)
+            a1, a2, a3 = random_coprime_triple(digits, rng).generators
+            r = frobenius(a1, a2, a3)
             assert (r.candidate_a, r.candidate_b) == self.crt_candidates(r)
-            assert_davison_sylvester(r)
+            # Davison 1994 bounds g below; g(a1, a2) = a1*a2 - a1 - a2 (Sylvester) bounds it above
+            assert math.isqrt(3 * a1 * a2 * a3) - a1 - a2 - a3 <= r.g <= a1 * a2 - a1 - a2
 
     def test_non_least_certificate_rejected(self):
         # (m + pair_a, u + target, w) keeps the identity but is not least; a CRT of the
@@ -253,25 +236,22 @@ class TestMinimalityCheck:
         # Herzog's relations and only the minors reject them: for (3, 4, 5), m = (3, 4, 3)
         # with (u, w) = (1, 1), (2, 2), (1, 3) has minors (6, 8, 10)
         triples = 0
-        for a3 in range(4, 11):
-            for a1, a2 in itertools.combinations(range(2, a3), 2):
-                if math.gcd(a1, a2) * math.gcd(a1, a3) * math.gcd(a2, a3) != 1:
+        for a1, a2, a3 in coprime_triples(10):
+            t = validate_triple(a1, a2, a3)
+            if t.degenerate:
+                continue
+            roles = ((a1, a2, a3), (a2, a1, a3), (a3, a1, a2))
+            least = tuple(oracle_least_multiple(b, (x, y)).m for b, x, y in roles)
+            candidates = [self.all_certificates(b, x, y, 2 * a3) for b, x, y in roles]
+            accepted = []
+            for certs in itertools.product(*candidates):
+                try:
+                    assemble_result(t, certs)
+                except InvariantViolation:
                     continue
-                t = validate_triple(a1, a2, a3)
-                if t.degenerate:
-                    continue
-                roles = ((a1, a2, a3), (a2, a1, a3), (a3, a1, a2))
-                least = tuple(oracle_least_multiple(b, (x, y)).m for b, x, y in roles)
-                candidates = [self.all_certificates(b, x, y, 2 * a3) for b, x, y in roles]
-                accepted = []
-                for certs in itertools.product(*candidates):
-                    try:
-                        assemble_result(t, certs)
-                    except InvariantViolation:
-                        continue
-                    accepted.append(tuple(c.m for c in certs))
-                assert accepted == [least], (a1, a2, a3)
-                triples += 1
+                accepted.append(tuple(c.m for c in certs))
+            assert accepted == [least], (a1, a2, a3)
+            triples += 1
         assert triples == 11
 
     def test_positivity_clause(self):
@@ -292,16 +272,6 @@ class TestMinimalityCheck:
 
 
 class TestFrobenius:
-    def test_357(self):
-        r = frobenius(3, 5, 7)
-        assert (r.g, r.f_pos) == (4, 19)
-        assert (r.candidate_a, r.candidate_b) == (19, 17)
-
-    def test_579(self):
-        r = frobenius(5, 7, 9)
-        assert r.g == 13
-        assert (r.candidate_a, r.candidate_b) == (34, 32)
-
     def test_degenerate_reduction(self):
         r = frobenius(3, 5, 8)
         assert r.g == 7
@@ -310,17 +280,8 @@ class TestFrobenius:
         # the oracle's table over <3,5,8> confirms the reduction
         assert oracle_frobenius((3, 5, 8)) == 7
 
-    def test_degenerate_235(self):
-        r = frobenius(2, 3, 5)
-        assert r.g == 1
-
     def test_order_independent(self):
         assert frobenius(7, 3, 5).g == frobenius(3, 5, 7).g
-
-    def test_convention_bridge(self):
-        for triple in ((3, 5, 7), (5, 7, 9), (3, 5, 8), (11, 13, 17)):
-            r = frobenius(*triple)
-            assert r.f_pos - r.g == sum(triple)
 
     def test_validation_passthrough(self):
         with pytest.raises(NotPairwiseCoprimeError):
@@ -357,7 +318,7 @@ class TestFrobenius:
             a3 = rng.randrange(a1 + a2, 10 ** digits)
             if len(triples) == 3:  # degenerate: 1*a1 + 1*a2
                 a3 = a1 + a2
-            if math.gcd(a1, a2) * math.gcd(a1, a3) * math.gcd(a2, a3) == 1:
+            if pairwise_coprime((a1, a2, a3)):
                 triples.append((a1, a2, a3))
         for triple in triples:
             inverses.clear()
@@ -383,35 +344,6 @@ class TestFrobenius:
         # 20 >= a1 = 3, so the table is built from the generators checked before the shortcut
         assert oracle_representable(20, (3, 5, 7))
         assert calls == [(3, 5, 7)]
-
-
-class TestResultProperties:
-    def test_random_small_triples_full_invariants(self):
-        rng = random.Random(424242)
-        checked = 0
-        while checked < 200:
-            vals = sorted(rng.sample(range(2, 61), 3))
-            a1, a2, a3 = vals
-            if math.gcd(a1, a2) != 1 or math.gcd(a1, a3) != 1 or math.gcd(a2, a3) != 1:
-                continue
-            r = frobenius(a1, a2, a3)
-            assert r.f_pos - r.g == a1 + a2 + a3
-            assert r.f_pos > a1 + a2 + a3
-            assert_davison_sylvester(r)
-            if r.degenerate:
-                checked += 1
-                continue
-            assert r.f_pos == max(r.candidate_a, r.candidate_b)
-            assert 0 <= r.candidate_a < a1 * a2 * a3
-            assert 0 <= r.candidate_b < a1 * a2 * a3
-            for d in r.decompositions:
-                assert d.multiplier >= 1 and d.partner_coeff >= 1
-                assert r.f_pos == d.multiplier * d.generator + d.partner_coeff * d.partner
-            # f_pos itself is a gap; adding any generator fills it
-            assert not oracle_representable(r.f_pos, vals, "positive")
-            for g in vals:
-                assert oracle_representable(r.f_pos + g, vals, "positive")
-            checked += 1
 
 
 class TestRecordTypes:

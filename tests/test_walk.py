@@ -19,21 +19,11 @@ from frobenius3.walk import (
     default_step_budget,
     find_least_multiple,
     trace_rows,
-    trace_table,
     trace_to_json,
 )
+from support import coprime_triples, pairwise_coprime
 
 GOLDEN = WalkInput(b=8231, a=7523, c=9533)
-
-
-def coprime_triples(limit):
-    for a1 in range(2, limit - 1):
-        for a2 in range(a1 + 1, limit):
-            if math.gcd(a1, a2) != 1:
-                continue
-            for a3 in range(a2 + 1, limit + 1):
-                if math.gcd(a1, a3) == 1 and math.gcd(a2, a3) == 1:
-                    yield a1, a2, a3
 
 
 def reference_walk(inp, keep_rows=True):
@@ -110,22 +100,8 @@ class TestInitWalk:
         _, tr = find_least_multiple(WalkInput(b=7, a=3, c=5))
         assert (tr.t0, tr.p0) == (1, 4)
 
-    def test_identity_holds_generally(self):
-        for a1, a2, a3 in coprime_triples(25):
-            _, tr = find_least_multiple(WalkInput(b=a2, a=a1, c=a3))
-            a, b, c = tr.input.a, tr.input.b, tr.input.c
-            assert tr.p0 * a == b + tr.t0 * c
-            assert (tr.p0 * a) % c == b % c
-
 
 class TestWalkStep:
-    def test_golden_sequences(self):
-        _, tr = find_least_multiple(GOLDEN)
-        assert tr.n_steps == 6
-        assert [s.k for s in tr.steps] == [2, 2, 3, 2, 2, 5]
-        assert [s.p for s in tr.steps] == [4469, 1937, 1342, 747, 152, 13]
-        assert [s.v for s in tr.steps] == [2, 3, 7, 11, 15, 64]
-
     def test_first_step_small(self):
         _, tr = find_least_multiple(WalkInput(b=5, a=3, c=7))
         s = tr.steps[0]
@@ -183,22 +159,6 @@ class TestFindLeastMultiple:
                 cert, _ = find_least_multiple(WalkInput(b=target, a=x, c=y))
                 assert cert.m == oracle_least_multiple(target, (x, y)).m
 
-    def test_role_symmetry_random(self):
-        rng = random.Random(314)
-        checked = 0
-        while checked < 1000:
-            vals = sorted(rng.sample(range(2, 400), 3))
-            a1, a2, a3 = vals
-            if math.gcd(a1, a2) != 1 or math.gcd(a1, a3) != 1 or math.gcd(a2, a3) != 1:
-                continue
-            c1, t1 = find_least_multiple(WalkInput(b=a2, a=a1, c=a3))
-            c2, t2 = find_least_multiple(WalkInput(b=a2, a=a3, c=a1))
-            assert c1 == c2
-            assert (c1.pair_a, c1.pair_c) == (a1, a3)
-            assert t1 == t2
-            assert t1.input.a < t1.input.c
-            checked += 1
-
 
 class TestCollapsedRuns:
     # each pass reaches its k = 2 run by division; the result, every row and the budget
@@ -210,7 +170,7 @@ class TestCollapsedRuns:
                 if math.gcd(a, c) != 1:
                     continue
                 for b in range(2, 90):
-                    if math.gcd(b, a) == 1 and math.gcd(b, c) == 1:
+                    if pairwise_coprime((b, a, c)):
                         inp = WalkInput(b=b, a=a, c=c)
                         assert outcome(collapsed_walk, inp) == outcome(reference_walk, inp), inp
                         walks += 1
@@ -229,7 +189,7 @@ class TestCollapsedRuns:
         for big in range(1400, 1601):
             values = (big - 1, big, big + 1, 2 * big + 1)
             for b, a, c in itertools.permutations(values, 3):
-                if math.gcd(b, a) == math.gcd(b, c) == math.gcd(a, c) == 1:
+                if pairwise_coprime((b, a, c)):
                     inp = WalkInput(b=b, a=a, c=c)
                     got = outcome(collapsed_walk, inp)
                     assert got == outcome(reference_walk, inp), inp
@@ -246,7 +206,7 @@ def random_inputs(digits, count, seed):
     rng = random.Random(seed)
     while count:
         b, a, c = (rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(3))
-        if math.gcd(b, a) == math.gcd(b, c) == math.gcd(a, c) == 1:
+        if pairwise_coprime((b, a, c)):
             count -= 1
             yield WalkInput(b=b, a=a, c=c)
 
@@ -354,7 +314,7 @@ class TestLehmerBatches:
         walks = 0
         while walks < 40:
             b, a, c = (rng.randrange(2 ** (bits - 1), 2 ** bits) for _ in range(3))
-            if math.gcd(b, a) == math.gcd(b, c) == math.gcd(a, c) == 1:
+            if pairwise_coprime((b, a, c)):
                 inp = WalkInput(b=b, a=a, c=c)
                 assert outcome(collapsed_walk, inp) == outcome(reference_walk, inp), inp
                 walks += 1
@@ -391,24 +351,26 @@ class TestEuclidCore:
     # each pass leaves d = p_{n-1} - p_n at the next even-indexed remainder of Euclid
     def passes_follow_euclid(self, inp):
         try:
-            _, tr = find_least_multiple(inp)
+            cert, tr = find_least_multiple(inp)
         except StepBudgetExceeded:
             return False
         p0, c = tr.p0, inp.c
         s = p0 // c or 1
+        # a scaled start is exactly a target that is itself a positive combination of the pair
+        assert (p0 > c) == (cert.m == 1), inp
         if p0 < c:
             evens = euclid_remainders(c, p0)[2::2]
         else:
             evens = euclid_remainders(s * c, p0 - s * c)[0::2]
-        # replay the quotients on (d, p) from row -1 scaled by s, taking d after each x
-        passes, (penultimate, last) = walk._walk(inp, tr.t0, p0)
+        # replay the stored quotients on (d, p) from row -1 scaled by s, taking d after each x;
+        # the last row's p is the certificate's u
         d, p, ds = s * c - p0, p0, []
-        for x, j in passes:
+        for x, j in tr.passes:
             d -= x * p
             ds.append(d)
             p -= j * d
         assert ds == evens[:len(ds)], inp
-        assert (penultimate[0], last[0]) == (p + d, p), inp
+        assert (tr.penultimate[0], cert.u) == (p + d, p), inp
         return True
 
     def test_exhaustive_small(self):
@@ -418,7 +380,7 @@ class TestEuclidCore:
                 if math.gcd(a, c) != 1:
                     continue
                 for b in range(2, 200):
-                    if math.gcd(b, a) == 1 and math.gcd(b, c) == 1:
+                    if pairwise_coprime((b, a, c)):
                         walks += self.passes_follow_euclid(WalkInput(b=b, a=a, c=c))
         assert walks == 128756
 
@@ -428,7 +390,7 @@ class TestEuclidCore:
         walks = 0
         while walks < count:
             b, a, c = (rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(3))
-            if math.gcd(b, a) == math.gcd(b, c) == math.gcd(a, c) == 1:
+            if pairwise_coprime((b, a, c)):
                 walks += self.passes_follow_euclid(WalkInput(b=b, a=a, c=c))
 
 
@@ -468,18 +430,6 @@ class TestTraceInvariants:
                                     for i, s in enumerate(tr.steps, start=1)]
         assert scaled_starts > 0
 
-    def test_v_recurrence_cross_check(self):
-        # v_1 = k_1 mod c and v_i = (k_i v_{i-1} - v_{i-2}) mod c for i >= 2
-        for inp in (GOLDEN, WalkInput(b=5, a=3, c=7), WalkInput(b=101, a=67, c=89)):
-            _, tr = find_least_multiple(inp)
-            c = inp.c
-            vs = [1] + [s.v for s in tr.steps]
-            ks = [s.k for s in tr.steps]
-            if ks:
-                assert vs[1] == ks[0] % c
-            for i in range(2, len(vs)):
-                assert vs[i] == (ks[i - 1] * vs[i - 1] - vs[i - 2]) % c
-
     def test_steps_expand_the_stored_passes(self, monkeypatch):
         # the trace keeps the passes it walked: its rows run no second walk
         traces = [find_least_multiple(inp)[1] for inp in (GOLDEN, *random_inputs(300, 2, 7))]
@@ -488,17 +438,6 @@ class TestTraceInvariants:
         for tr in traces:
             assert [tuple(s) for s in tr.steps] == reference_walk(tr.input)[1]
         assert calls == []
-
-    def test_step_budget_property(self):
-        # step count stays within the default budget on random inputs
-        rng = random.Random(5)
-        for _ in range(50):
-            vals = sorted(rng.sample(range(2, 2000), 3))
-            a1, a2, a3 = vals
-            if math.gcd(a1, a2) != 1 or math.gcd(a1, a3) != 1 or math.gcd(a2, a3) != 1:
-                continue
-            _, tr = find_least_multiple(WalkInput(b=a2, a=a1, c=a3))
-            assert tr.n_steps == len(tr.steps) <= default_step_budget(tr.input.c)
 
 
 class TestCertificate:
@@ -522,20 +461,6 @@ class TestCertificate:
 
 
 class TestTraceSerialization:
-    def test_rows_golden(self):
-        _, tr = find_least_multiple(GOLDEN)
-        rows = trace_rows(tr)
-        assert rows[0] == (0, None, 7001, 1, 5524)
-        assert [r[4] for r in rows[1:6]] == [3525, 1526, 1053, 580, 107]
-        assert rows[-1][4] == -45
-
-    def test_table_text(self):
-        _, tr = find_least_multiple(GOLDEN)
-        text = trace_table(tr)
-        lines = text.splitlines()
-        assert lines[0].split() == ["step", "k", "v", "p", "(p*a-v*b)/c"]
-        assert len(lines) == 8  # header + row 0 + six steps
-
     def test_json_round_trip(self):
         _, tr = find_least_multiple(GOLDEN)
         doc = json.loads(json.dumps(trace_to_json(tr)))

@@ -1,10 +1,12 @@
 """Helpers the test modules share: one coprimality predicate, the triple enumerator, the CRT
-reference the candidates are checked against, and representability with positive coefficients."""
+reference the candidates are checked against, representability with positive coefficients,
+Euclid's remainders, and the certificates of a least-multiple problem by their definition."""
 
 import itertools
 import math
 
 from frobenius3.oracle import oracle_representable
+from frobenius3.walk import MultipleCertificate
 
 
 def pairwise_coprime(values) -> bool:
@@ -28,3 +30,22 @@ def positive_representable(n, generators) -> bool:
     a nonnegative one, so no n below that sum is."""
     n -= sum(generators)
     return n >= 0 and oracle_representable(n, generators)
+
+
+def euclid_remainders(x, y):
+    """Remainders r0 = x, r1 = y, r2, ... of Euclid on (x, y), down to the last nonzero one;
+    Euclid takes one division per remainder after r0."""
+    rs = [x]
+    while y:
+        x, y = y, x % y
+        rs.append(x)
+    return rs
+
+
+def certificates(target, x, y):
+    """Every m*target = u*x + w*y with m, u, w >= 1, by search in (m, u) order, without end:
+    the first is the least multiple with its least u."""
+    for m in itertools.count(1):
+        for u in range(1, (m * target - y) // x + 1):
+            if (m * target - u * x) % y == 0:
+                yield MultipleCertificate(m, u, (m * target - u * x) // y, target, x, y)

@@ -1,11 +1,13 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with -s to see them).
 
-Criterion 6 (step-count flatness across digit sizes) is known to fail:
-the walk's step count grows with the bit length of the inputs because the
-iteration visits every one-sided best approximation of the underlying
-ratio, and the count of those grows with input size.  The test asserts the
-criterion anyway and is expected to be red; see README.md.
+Criterion 6 (step-count flatness across digit sizes) is known to fail.
+The walk runs Euclid on (c, p0 mod c) until about half of its divisions are
+done, and a step is one row of the walk, so its steps add up the partial
+quotients it passes; their sum grows as (ln c)^2 (Yao and Knuth 1975).
+Its iterations, one per partial quotient, follow the Euclid-length law that
+test_iterations_follow_euclid_length_law states.  The test asserts the
+criterion anyway and is expected to be red; see README.md and ROADMAP.md.
 """
 
 import math
@@ -16,7 +18,7 @@ from frobenius3.bench import BenchConfig, random_coprime_triple, run_bench
 from frobenius3.oracle import oracle_frobenius, oracle_least_multiple
 from frobenius3.solver import frobenius, least_multiples_all, validate_triple
 from frobenius3.walk import WalkInput, find_least_multiple
-from support import coprime_triples, pairwise_coprime, positive_representable
+from support import coprime_triples, euclid_remainders, pairwise_coprime, positive_representable
 
 LIMIT = 60
 
@@ -105,15 +107,6 @@ def test_criterion_6_step_count_flatness():
            f"1000d={s1000['iterations']['mean']:.0f}; {elapsed:.1f}s)")
 
 
-def euclid_length(c, x):
-    """Divisions Euclid's algorithm takes on (c, x)."""
-    n = 0
-    while x:
-        c, x = x, c % x
-        n += 1
-    return n
-
-
 def test_iterations_follow_euclid_length_law():
     # on criterion 6's samples each walk takes at most as many iterations as Euclid takes
     # divisions on (c, p0 mod c), and about 0.4 as many on average; the divisions average
@@ -125,16 +118,14 @@ def test_iterations_follow_euclid_length_law():
             certs, trace = least_multiples_all(
                 random_coprime_triple(digits, random.Random(f"42:{i}")))
             c = trace.input.c
-            length = euclid_length(c, trace.p0 % c)
+            remainders = euclid_remainders(c, trace.p0 % c)
+            length = len(remainders) - 1
             assert trace.iterations <= length, (digits, i)
             iterations += trace.iterations
             euclid += length
             heilbronn += 12 * math.log(2) / math.pi ** 2 * math.log(c) + 1.467
             # the last row's p is the u of a2's certificate
-            r, x = c, trace.p0 % c
-            while x:
-                above += x >= certs[1].u
-                r, x = x, r % x
+            above += sum(r >= certs[1].u for r in remainders[1:])
         assert abs(euclid / heilbronn - 1) < 0.02, (digits, euclid / heilbronn)
         assert 0.35 <= iterations / heilbronn <= 0.45, (digits, iterations / heilbronn)
         assert 0.45 <= above / euclid <= 0.55, (digits, above / euclid)

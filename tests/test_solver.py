@@ -20,7 +20,7 @@ from frobenius3.solver import (
     validate_triple,
 )
 from frobenius3.walk import MultipleCertificate, WalkInput
-from support import coprime_triples, crt, pairwise_coprime
+from support import certificates, coprime_triples, crt, pairwise_coprime
 
 
 class TestCrtHelper:
@@ -39,10 +39,6 @@ class TestValidateTriple:
         t = validate_triple(7, 5, 3)
         assert t.generators == (3, 5, 7)
         assert t.degenerate is False
-
-    def test_degenerate(self):
-        t = validate_triple(3, 5, 8)
-        assert t.degenerate is True  # 8 = 3 + 5
 
     def test_degenerate_matches_definition(self):
         # degenerate exactly when a3 = u*a1 + w*a2 with u, w >= 1, on every triple up to 60
@@ -81,10 +77,6 @@ class TestValidateTriple:
         with pytest.raises(NotPairwiseCoprimeError) as exc:
             validate_triple(4, 6, 9)
         assert exc.value.pair == (4, 6)
-
-    def test_rejects_one(self):
-        with pytest.raises(InvalidInputError):
-            validate_triple(1, 3, 5)
 
     def test_rejects_duplicates(self):
         # two equal values >= 2 share themselves as a factor
@@ -128,19 +120,6 @@ class TestPairFrobenius:
         assert frobenius(2, 3, 5).g == 1
         assert frobenius(7523, 9533, 7523 + 9533).g == 7523 * 9533 - 7523 - 9533
 
-    def test_against_scan(self):
-        # sieve to x*y confirms Sylvester's value for a couple of pairs
-        for x, y in ((3, 5), (4, 9), (5, 7)):
-            reachable = {0}
-            for n in range(1, x * y + 1):
-                if (n >= x and n - x in reachable) or (n >= y and n - y in reachable):
-                    reachable.add(n)
-            assert frobenius(x, y, x + y).g == max(set(range(x * y + 1)) - reachable)
-
-    def test_non_coprime(self):
-        with pytest.raises(NotPairwiseCoprimeError):
-            frobenius(6, 9, 15)
-
 
 class TestLeastMultiplesAll:
     def test_small_values(self):
@@ -170,17 +149,6 @@ class TestLeastMultiplesAll:
 
 class TestCongruenceSystems:
     # each candidate solves its cyclic system: A puts L1, L2, L3 mod a3, a1, a2; B mod a2, a3, a1
-    def test_canonicalized_residues_357(self):
-        r = frobenius(3, 5, 7)
-        assert [c.value for c in r.certificates] == [12, 10, 14]
-        assert [r.candidate_a % m for m in (7, 3, 5)] == [5, 1, 4]
-        assert [r.candidate_b % m for m in (5, 7, 3)] == [2, 3, 2]
-
-    def test_canonicalized_residues_579(self):
-        r = frobenius(5, 7, 9)
-        assert [c.value for c in r.certificates] == [25, 14, 27]
-        assert [r.candidate_a % m for m in (9, 5, 7)] == [7, 4, 6]
-
     @staticmethod
     def crt_candidates(r):
         # the reference: crt of A (L1, L2, L3 mod a3, a1, a2) and B (mod a2, a3, a1)
@@ -222,14 +190,6 @@ class TestCongruenceSystems:
 
 
 class TestMinimalityCheck:
-    @staticmethod
-    def all_certificates(target, x, y, m_max):
-        """Every (m, u, w) with m*target = u*x + w*y, u, w >= 1 and m <= m_max, by search."""
-        return [MultipleCertificate(m, u, (m * target - u * x) // y, target, x, y)
-                for m in range(1, m_max + 1)
-                for u in range(1, (m * target - y) // x + 1)
-                if (m * target - u * x) % y == 0]
-
     def test_only_least_multiples_pass(self):
         # every combination of certificates with m <= 2*a3 (84,798 for the 11 triples with
         # a3 <= 10); the check must accept only the least multiples.  Some combinations pass
@@ -242,7 +202,8 @@ class TestMinimalityCheck:
                 continue
             roles = ((a1, a2, a3), (a2, a1, a3), (a3, a1, a2))
             least = tuple(oracle_least_multiple(b, (x, y)).m for b, x, y in roles)
-            candidates = [self.all_certificates(b, x, y, 2 * a3) for b, x, y in roles]
+            candidates = [list(itertools.takewhile(lambda c: c.m <= 2 * a3, certificates(*role)))
+                          for role in roles]
             accepted = []
             for certs in itertools.product(*candidates):
                 try:

@@ -1,8 +1,11 @@
 import itertools
 import json
+import multiprocessing
+import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -156,9 +159,13 @@ class TestLeastMultiple:
 
 class TestVerify:
     def test_small_run(self, capsys):
-        code, out, _ = run(capsys, "verify", "--max", "15")
-        assert code == 0
-        assert "OK" in out
+        # 15 runs serially, 40 in the worker pool: a slice dropped or read twice changes a count
+        assert 15 < cli._POOL_MIN_MAX <= 40
+        assert run(capsys, "verify", "--max", "15") == (
+            0, "OK: 102 triples and 183 least-multiple cases match the oracle\n", "")
+        assert run(capsys, "verify", "--max", "40") == (
+            0, "OK: 2518 triples and 5580 least-multiple cases match the oracle\n", "")
+        assert multiprocessing.active_children() == []
 
     def test_rejects_small_max(self, capsys):
         code, _, _ = run(capsys, "verify", "--max", "9")
@@ -166,7 +173,7 @@ class TestVerify:
 
     def test_rejects_max_above_oracle_guard(self, capsys, monkeypatch):
         # refused before the run, which would take years: a triple checked is a failure here
-        def no_triples(limit):
+        def no_triples(limit, a1):
             raise AssertionError("verify started the run")
 
         monkeypatch.setattr(cli, "_iter_valid_triples", no_triples)
@@ -191,6 +198,44 @@ class TestVerify:
         assert code == 4
         assert out == "MISMATCH least multiple of 3 over (4,5): got m=3, oracle m=1\n"
         assert err == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="one usable CPU: verify runs serially")
+class TestVerifyWorkers:
+    # each fault is planted in the worker processes only, so a serial run would print OK
+    def test_first_mismatch_in_serial_order_exit_4(self, capsys, monkeypatch):
+        # the slice at a1 = 3 stops at its first triple, long before the one at a1 = 2 reaches
+        # its last, which waits; the serially first one is printed
+        parent = os.getpid()
+        oracle = cli.oracle_frobenius
+
+        def wrong_in_workers(gens):
+            if os.getpid() == parent or gens not in ((2, 37, 39), (3, 4, 5)):
+                return oracle(gens)
+            if gens == (2, 37, 39):
+                time.sleep(0.2)
+            return oracle(gens) - 1
+
+        monkeypatch.setattr(cli, "oracle_frobenius", wrong_in_workers)
+        assert run(capsys, "verify", "--max", "40") == (
+            4, "MISMATCH at (2,37,39): got g=35 f_pos=113, oracle g=34 f_pos=112\n", "")
+        assert multiprocessing.active_children() == []
+
+    def test_invariant_violation_in_worker_exit_3(self, capsys, monkeypatch):
+        parent = os.getpid()
+        solve = cli.frobenius
+
+        def broken_in_workers(*generators):
+            if os.getpid() != parent and generators == (20, 21, 23):
+                raise InvariantViolation("certificates are not the least multiples of (20, 21, 23)")
+            return solve(*generators)
+
+        monkeypatch.setattr(cli, "frobenius", broken_in_workers)
+        assert run(capsys, "verify", "--max", "40") == (
+            3, "", "internal invariant violation: "
+                   "certificates are not the least multiples of (20, 21, 23)\n")
+        assert multiprocessing.active_children() == []
 
 
 class TestInvariantViolation:
@@ -293,9 +338,9 @@ class TestJsonOutput:
             assert len(converted) == 15, triple
 
     def test_compute_literal_line(self, capsys):
-        code, out, _ = run(capsys, "compute", "3", "5", "7", "--json")
-        assert code == 0
-        assert out == (
+        # f_pos is candidate A for (3, 5, 7), candidate B for (4, 5, 7)
+        literals = {
+            ("3", "5", "7"):
             '{"input": ["3", "5", "7"], "g": "4", "f_pos": "19", "candidate_A": "19", '
             '"candidate_B": "17", "degenerate_member": null, "certificates": ['
             '{"target": "3", "m": "4", "u": "1", "w": "1", "pair": ["5", "7"]}, '
@@ -304,7 +349,20 @@ class TestJsonOutput:
             '"decompositions": ['
             '{"generator": "3", "multiplier": "4", "partner": "7", "partner_coeff": "1"}, '
             '{"generator": "5", "multiplier": "2", "partner": "3", "partner_coeff": "3"}, '
-            '{"generator": "7", "multiplier": "2", "partner": "5", "partner_coeff": "1"}]}\n')
+            '{"generator": "7", "multiplier": "2", "partner": "5", "partner_coeff": "1"}]}\n',
+            ("4", "5", "7"):
+            '{"input": ["4", "5", "7"], "g": "6", "f_pos": "22", "candidate_A": "19", '
+            '"candidate_B": "22", "degenerate_member": null, "certificates": ['
+            '{"target": "4", "m": "3", "u": "1", "w": "1", "pair": ["5", "7"]}, '
+            '{"target": "5", "m": "3", "u": "2", "w": "1", "pair": ["4", "7"]}, '
+            '{"target": "7", "m": "2", "u": "1", "w": "2", "pair": ["4", "5"]}], '
+            '"decompositions": ['
+            '{"generator": "4", "multiplier": "3", "partner": "5", "partner_coeff": "2"}, '
+            '{"generator": "5", "multiplier": "3", "partner": "7", "partner_coeff": "1"}, '
+            '{"generator": "7", "multiplier": "2", "partner": "4", "partner_coeff": "2"}]}\n',
+        }
+        for triple, line in literals.items():
+            assert run(capsys, "compute", *triple, "--json") == (0, line, ""), triple
 
 
 class TestUsage:
@@ -349,8 +407,9 @@ class TestExitCodeContract:
 
 
 class TestImportCost:
-    # every frob3 process pays for these; only frob3 bench needs the harness
-    UNNEEDED = ("dataclasses", "inspect", "typing", "frobenius3.bench", "statistics", "csv")
+    # every frob3 process pays for these; only frob3 bench needs its harness, only verify its pool
+    UNNEEDED = ("dataclasses", "inspect", "typing", "frobenius3.bench", "statistics", "csv",
+                "concurrent.futures", "multiprocessing")
 
     def test_cli_import_skips_unneeded_modules(self):
         # -S: no site-packages .pth file may preload a module and hide the package's own import

@@ -1,6 +1,7 @@
-"""Helpers the test modules share: one coprimality predicate, the triple enumerator, the CRT
-reference the candidates are checked against, representability with positive coefficients,
-Euclid's remainders, and the certificates of a least-multiple problem by their definition."""
+"""Helpers the test modules share: one coprimality predicate, the triple enumerator, the
+seeded sampler of coprime tuples, the CRT reference the candidates are checked against,
+representability with positive coefficients, Euclid's remainders, and the certificates of a
+least-multiple problem by their definition."""
 
 import itertools
 import math
@@ -16,6 +17,15 @@ def pairwise_coprime(values) -> bool:
 def coprime_triples(limit):
     """Every pairwise-coprime a1 < a2 < a3 <= limit with a1 >= 2, in lexicographic order."""
     return filter(pairwise_coprime, itertools.combinations(range(2, limit + 1), 3))
+
+
+def coprime_draws(rng, *ranges):
+    """Pairwise-coprime tuples without end: value i is rng.randrange(*ranges[i]), and a draw
+    that is not pairwise coprime is skipped."""
+    while True:
+        values = tuple(rng.randrange(*r) for r in ranges)
+        if pairwise_coprime(values):
+            yield values
 
 
 def crt(residues, moduli):

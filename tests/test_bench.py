@@ -18,11 +18,6 @@ from support import pairwise_coprime, positive_representable
 
 
 class TestRandomCoprimeTriple:
-    def test_deterministic(self):
-        t1 = random_coprime_triple(2, random.Random("seed1"))
-        t2 = random_coprime_triple(2, random.Random("seed1"))
-        assert t1 == t2
-
     def test_pairwise_coprime_and_nondegenerate(self):
         for i in range(30):
             a1, a2, a3 = random_coprime_triple(3, random.Random(i)).generators
@@ -33,11 +28,6 @@ class TestRandomCoprimeTriple:
         for digits in (2, 10, 1000):
             triple = random_coprime_triple(digits, random.Random(0))
             assert all(len(str(n)) == digits for n in triple.generators)
-
-    def test_rejects_one_digit(self):
-        # random_coprime_triple trusts its caller; a one-digit draw is refused at the config
-        with pytest.raises(InvalidInputError):
-            bench.run_sample(BenchConfig(digits=1, samples=1, seed=0), 0)
 
 
 class TestBenchConfig:

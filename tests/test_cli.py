@@ -102,11 +102,6 @@ class TestLeastMultiple:
         assert (target, x, y) == (10**4400 + 1, 3, 7)
         assert m * target == u * x + w * y
 
-    def test_m_equals_one(self, capsys):
-        code, out, _ = run(capsys, "least-multiple", "12", "--pair", "5", "7")
-        assert code == 0
-        assert "1·12 = 1·5 + 1·7" in out
-
     def test_trace_golden_text(self, capsys):
         code, out, _ = run(capsys, "least-multiple", "8231",
                            "--pair", "7523", "9533", "--trace")
@@ -338,7 +333,7 @@ class TestJsonOutput:
             assert len(converted) == 15, triple
 
     def test_compute_literal_line(self, capsys):
-        # f_pos is candidate A for (3, 5, 7), candidate B for (4, 5, 7)
+        # f_pos is candidate A for (3, 5, 7), candidate B for (4, 5, 7); (3, 5, 8) is degenerate
         literals = {
             ("3", "5", "7"):
             '{"input": ["3", "5", "7"], "g": "4", "f_pos": "19", "candidate_A": "19", '
@@ -360,6 +355,10 @@ class TestJsonOutput:
             '{"generator": "4", "multiplier": "3", "partner": "5", "partner_coeff": "2"}, '
             '{"generator": "5", "multiplier": "3", "partner": "7", "partner_coeff": "1"}, '
             '{"generator": "7", "multiplier": "2", "partner": "4", "partner_coeff": "2"}]}\n',
+            ("3", "5", "8"):
+            '{"input": ["3", "5", "8"], "g": "7", "f_pos": "23", "candidate_A": null, '
+            '"candidate_B": null, "degenerate_member": 2, "certificates": null, '
+            '"decompositions": null}\n',
         }
         for triple, line in literals.items():
             assert run(capsys, "compute", *triple, "--json") == (0, line, ""), triple

@@ -13,7 +13,7 @@ from frobenius3.oracle import (
 )
 from frobenius3.solver import frobenius
 from frobenius3.walk import WalkInput, find_least_multiple
-from support import certificates, pairwise_coprime, positive_representable
+from support import certificates, coprime_draws, pairwise_coprime
 
 
 class TestResidueTable:
@@ -38,10 +38,6 @@ class TestResidueTable:
 
 
 class TestOracleFrobenius:
-    def test_examples(self):
-        assert oracle_frobenius((3, 5, 7)) == 4
-        assert oracle_frobenius((5, 7, 9)) == 13
-
     def test_order_independence(self):
         for perm in itertools.permutations((5, 7, 9)):
             assert oracle_frobenius(perm) == 13
@@ -58,14 +54,12 @@ class TestOracleFrobenius:
     def test_matches_frobenius_with_large_pair(self):
         # 4- and 5-digit a1 with 100- to 1000-digit a2, a3: tables of 1e3 to 1e5 entries
         for seed, (a1_digits, digits) in enumerate(itertools.product((4, 5), (100, 300, 1000))):
-            rng = random.Random(seed)
-            while True:
-                triple = (rng.randrange(10 ** (a1_digits - 1), 10**a1_digits),
-                          *(rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(2)))
-                if pairwise_coprime(triple):
-                    res = frobenius(*triple)
-                    if not res.degenerate:
-                        break
+            span = (10 ** (digits - 1), 10**digits)
+            for triple in coprime_draws(random.Random(seed),
+                                        (10 ** (a1_digits - 1), 10**a1_digits), span, span):
+                res = frobenius(*triple)
+                if not res.degenerate:
+                    break
             assert oracle_frobenius(triple) == res.g, triple
 
     def test_rejects_non_coprime(self):
@@ -76,10 +70,6 @@ class TestOracleFrobenius:
 
 
 class TestOracleLeastMultiple:
-    def test_golden(self):
-        cert = oracle_least_multiple(8231, (7523, 9533))
-        assert (cert.m, cert.u, cert.w) == (64, 13, 45)
-
     # invalid inputs are rejected as such, before the guard looks at the scan modulus
     @pytest.mark.parametrize("target, pair", [(4, (10**7, 10**7)), (1, (10**7, 10**7 + 1)),
                                               (5, (3, 7, 11))])
@@ -104,24 +94,15 @@ class TestOracleLeastMultiple:
 
     def test_matches_walk_on_balanced_pairs(self):
         # 5- and 6-digit pairs with products above 10^8: the guard bounds the scan modulus y
-        rng = random.Random(23)
-        checked = 0
-        while checked < 8:
-            b, x, y = (rng.randrange(10**4, MAX_MODULUS + 1) for _ in range(3))
-            if x * y <= 10**8 or not pairwise_coprime((b, x, y)):
-                continue
+        span = (10**4, MAX_MODULUS + 1)
+        draws = coprime_draws(random.Random(23), span, span, span)
+        for b, x, y in itertools.islice(((b, x, y) for b, x, y in draws if x * y > 10**8), 8):
             cert = oracle_least_multiple(b, (x, y))
             walk_cert = find_least_multiple(WalkInput(b=b, a=x, c=y))[0]
             assert (cert.m, cert.u, cert.w) == (walk_cert.m, walk_cert.u, walk_cert.w), (b, x, y)
-            checked += 1
 
 
 class TestOracleRepresentable:
-    def test_examples(self):
-        assert not positive_representable(19, [3, 5, 7])
-        assert positive_representable(20, [3, 5, 7])  # 20 = 2*3 + 7 + 7
-        assert oracle_representable(0, [3, 5, 7])
-
     def test_ordering_independence(self):
         for perm in itertools.permutations((3, 5, 7)):
             assert not oracle_representable(4, perm)

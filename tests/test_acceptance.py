@@ -1,6 +1,11 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with -s to see them).
 
+Criteria 1 and 2 (every valid triple up to 60 against the residue-table
+oracle: g and f_pos, then each least multiple) are one in-process run of
+`frob3 verify --max 60`, which both read.  Verify proves each result's
+certificates with assemble_result, so a false identity exits 3.
+
 Criterion 6 (step-count flatness across digit sizes) is known to fail.
 The walk runs Euclid on (c, p0 mod c) until about half of its divisions are
 done, and a step is one row of the walk, so its steps add up the partial
@@ -10,17 +15,21 @@ test_iterations_follow_euclid_length_law states.  The test asserts the
 criterion anyway and is expected to be red; see README.md and ROADMAP.md.
 """
 
+import contextlib
+import io
 import math
+import multiprocessing
 import random
 import time
 
+import pytest
+
+from frobenius3 import cli
 from frobenius3.bench import BenchConfig, random_coprime_triple, run_bench
 from frobenius3.oracle import oracle_frobenius, oracle_least_multiple
-from frobenius3.solver import frobenius, least_multiples_all, validate_triple
+from frobenius3.solver import frobenius, least_multiples_all
 from frobenius3.walk import WalkInput, find_least_multiple
-from support import coprime_triples, euclid_remainders, pairwise_coprime, positive_representable
-
-LIMIT = 60
+from support import euclid_remainders, pairwise_coprime, positive_representable
 
 
 def report(n, ok, detail=""):
@@ -29,36 +38,33 @@ def report(n, ok, detail=""):
     assert ok, f"criterion {n} failed: {detail}"
 
 
-def test_criterion_1_exhaustive_frobenius_vs_oracle():
+@pytest.fixture(scope="module")
+def verify_60():
+    """One run of frob3 verify --max 60: (exit code, stdout, stderr, children left, seconds)."""
+    out, err = io.StringIO(), io.StringIO()
     start = time.monotonic()
-    count = 0
-    for triple in coprime_triples(LIMIT):
-        r = frobenius(*triple)
-        g = oracle_frobenius(triple)
-        # f_pos, the largest gap with positive coefficients, is g shifted by the generator sum
-        if (r.g, r.f_pos) != (g, g + sum(triple)):
-            report(1, False, f"mismatch at {triple}")
-        count += 1
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--max", "60"])
     elapsed = time.monotonic() - start
-    report(1, elapsed < 60, f"({count} triples, {elapsed:.1f}s)")
+    return code, out.getvalue(), err.getvalue(), multiprocessing.active_children(), elapsed
 
 
-def test_criterion_2_exhaustive_least_multiples_vs_oracle():
-    count = 0
-    for triple in coprime_triples(LIMIT):
-        t = validate_triple(*triple)
-        if t.degenerate:
-            continue
-        certs, _ = least_multiples_all(t)
-        for cert in certs:
-            ref = oracle_least_multiple(cert.target, (cert.pair_a, cert.pair_c))
-            if cert.m != ref.m:
-                report(2, False, f"m mismatch for {cert.target} over "
-                                 f"({cert.pair_a},{cert.pair_c})")
-            if cert.m * cert.target != cert.u * cert.pair_a + cert.w * cert.pair_c:
-                report(2, False, f"identity fails at {triple}")
-            count += 1
-    report(2, True, f"({count} least-multiple cases)")
+def report_verify_60(n, run):
+    code, out, err, children, elapsed = run
+    ok = (code, out, err, children) == (
+        0, "OK: 9245 triples and 21843 least-multiple cases match the oracle\n", "", [])
+    report(n, ok and elapsed < 60, f"(frob3 verify --max 60: exit {code}, {out.strip()!r}, "
+                                   f"{elapsed:.1f}s)")
+
+
+def test_criterion_1_exhaustive_frobenius_vs_oracle(verify_60):
+    # g and f_pos of each of the 9245 valid triples up to 60
+    report_verify_60(1, verify_60)
+
+
+def test_criterion_2_exhaustive_least_multiples_vs_oracle(verify_60):
+    # m of each of the 21843 least multiples of the non-degenerate ones
+    report_verify_60(2, verify_60)
 
 
 def test_criterion_3_golden_trace():

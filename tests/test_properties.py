@@ -1,24 +1,30 @@
 """Property tests against the residue-table oracle, past the exhaustive tests' range.
 
-Each draws 300 seeded pairwise-coprime inputs, so runs are repeatable and write nothing."""
+Each draws 300 seeded pairwise-coprime inputs, so runs are repeatable and write nothing.
+The triples go through frob3 verify's own comparison loop, not a copy of it."""
 
 import itertools
 import random
 
-from frobenius3.oracle import oracle_frobenius, oracle_least_multiple
-from frobenius3.solver import frobenius
+from frobenius3 import cli
+from frobenius3.oracle import oracle_least_multiple
 from frobenius3.walk import WalkInput, find_least_multiple
 from support import coprime_draws
 
 
-def test_frobenius_and_certificates_match_oracle():
-    # sorted triples from 2..150
-    for triple in itertools.islice(coprime_draws(random.Random(150), *[(2, 151)] * 3), 300):
-        triple = sorted(triple)
-        res = frobenius(*triple)
-        assert res.g == oracle_frobenius(triple), triple
-        for cert in res.certificates or ():
-            assert cert.m == oracle_least_multiple(cert.target, (cert.pair_a, cert.pair_c)).m
+def test_frobenius_and_certificates_match_oracle(monkeypatch):
+    # sorted triples from 2..150, through frob3 verify's own comparison: its slice at each
+    # least generator reads the drawn triples in place of every valid one
+    draws = coprime_draws(random.Random(150), *[(2, 151)] * 3)
+    triples = [tuple(sorted(triple)) for triple in itertools.islice(draws, 300)]
+    monkeypatch.setattr(cli, "_iter_valid_triples",
+                        lambda limit, a1: [t for t in triples if t[0] == a1])
+    checked = 0
+    for a1 in sorted({t[0] for t in triples}):
+        n, _, mismatch = cli._verify_from(150, a1)
+        assert mismatch is None, mismatch
+        checked += n
+    assert checked == 300
 
 
 def test_least_multiple_matches_oracle_in_both_pair_orders():

@@ -8,7 +8,6 @@ from frobenius3 import walk
 from frobenius3.errors import InvariantViolation, StepBudgetExceeded
 from frobenius3.oracle import oracle_least_multiple
 from frobenius3.walk import (
-    MultipleCertificate,
     WalkInput,
     default_step_budget,
     find_least_multiple,
@@ -22,9 +21,10 @@ GOLDEN = WalkInput(b=8231, a=7523, c=9533)
 def reference_walk(inp, keep_rows=True):
     """find_least_multiple one step at a time: the plain three-term recurrence and its budget.
 
-    Returns ((m, u, w, t0, p0, n_steps, penultimate), rows) with rows (k_i, p_i, v_i, q_i),
-    or with the rows' count in place of the rows when keep_rows is false."""
+    Returns ((m, u, w, t0, p0, n_steps, penultimate), rows) with rows the tuple of
+    (k_i, p_i, v_i, q_i), or with the rows' count in place of the rows when keep_rows is false."""
     b, a, c = inp.b, inp.a, inp.c
+    budget = default_step_budget(c)
     t0 = -b * pow(c, -1, a) % a
     p0 = (b + c * t0) // a
     s = p0 // c or 1
@@ -33,7 +33,7 @@ def reference_walk(inp, keep_rows=True):
     while q >= 0:
         if p == 1:
             raise InvariantViolation(inp)
-        if n >= default_step_budget(c):
+        if n >= budget:
             raise StepBudgetExceeded(inp)
         k = 1 + p_prev // p
         p_prev, p = p, k * p - p_prev
@@ -42,7 +42,7 @@ def reference_walk(inp, keep_rows=True):
         n += 1
         if keep_rows:
             rows.append((k, p, v, q))
-    return (v, p, -q, t0, p0, n, (p_prev, v_prev, q_prev)), rows if keep_rows else n
+    return (v, p, -q, t0, p0, n, (p_prev, v_prev, q_prev)), tuple(rows) if keep_rows else n
 
 
 def outcome(walk, inp):
@@ -52,14 +52,18 @@ def outcome(walk, inp):
         return type(exc)
 
 
-def collapsed_walk(inp):
-    cert, tr = find_least_multiple(inp)
-    rows = [(s.k, s.p, s.v, s.q) for s in tr.steps]
+def collapsed(cert, tr):
+    """A walk's result and rows in reference_walk's form, once its counts match its rows."""
+    rows = tr.steps
     # iterations: one per k != 2 step and one per maximal run of k = 2 steps
-    runs = [len(list(g)) for k, g in itertools.groupby(r[0] for r in rows) if k == 2]
+    runs = [len(list(g)) for k, g in itertools.groupby(s.k for s in rows) if k == 2]
     assert tr.iterations == len(rows) - sum(runs) + len(runs)
     assert tr.k2_run_max == max(runs, default=0)
     return (cert.m, cert.u, cert.w, tr.t0, tr.p0, tr.n_steps, tr.penultimate), rows
+
+
+def collapsed_walk(inp):
+    return collapsed(*find_least_multiple(inp))
 
 
 class TestWalkInput:
@@ -94,19 +98,6 @@ class TestFindLeastMultiple:
 class TestCollapsedRuns:
     # each pass reaches its k = 2 run by division; the result, every row and the budget
     # must match the walk taken one step at a time
-    def test_matches_reference_small(self):
-        walks = 0
-        for c in range(3, 90):
-            for a in range(2, c):
-                if math.gcd(a, c) != 1:
-                    continue
-                for b in range(2, 90):
-                    if pairwise_coprime((b, a, c)):
-                        inp = WalkInput(b=b, a=a, c=c)
-                        assert outcome(collapsed_walk, inp) == outcome(reference_walk, inp), inp
-                        walks += 1
-        assert walks == 97428
-
     def test_matches_reference_at_budget_edge(self):
         # A+1 over (A, 2A+1) takes A steps against a budget of 1,300 for 1024 <= A < 2048
         over = []
@@ -126,10 +117,6 @@ class TestCollapsedRuns:
                     assert got == outcome(reference_walk, inp), inp
                     over.append(got is StepBudgetExceeded)
         assert (len(over), sum(over)) == (3018, 804)
-
-    def test_long_run_is_one_division(self):
-        _, tr = find_least_multiple(WalkInput(b=1001, a=1000, c=2001))
-        assert (tr.n_steps, tr.iterations, tr.k2_run_max) == (1000, 1, 1000)
 
 
 def random_inputs(digits, count, seed):
@@ -215,7 +202,7 @@ class TestLehmerBatches:
                 got = outcome(collapsed_walk, inp)
                 assert got == outcome(reference_walk, inp), inp
                 assert got == ((1, r, 1, a - 1, c + r, 1, (c + r, 1, a - 1)),
-                               [(1, r, 1, -1)])
+                               ((1, r, 1, -1),))
                 walks += 1
         assert batched == []
 
@@ -262,42 +249,51 @@ class TestLehmerBatches:
         assert sum(batched) > 0
 
 
-class TestEuclidCore:
-    # each pass leaves d = p_{n-1} - p_n at the next even-indexed remainder of Euclid
-    def passes_follow_euclid(self, inp):
-        try:
-            cert, tr = find_least_multiple(inp)
-        except StepBudgetExceeded:
-            return False
-        p0, c = tr.p0, inp.c
-        s = p0 // c or 1
-        # a scaled start is exactly a target that is itself a positive combination of the pair
-        assert (p0 > c) == (cert.m == 1), inp
-        # replay the stored quotients on (d, p) from row -1 scaled by s, taking d after each x;
-        # the last row's p is the certificate's u
-        d, p, ds = s * c - p0, p0, []
-        for x, j in tr.passes:
-            d -= x * p
-            ds.append(d)
-            p -= j * d
-        if p0 > c:
-            # one pass: row 1 has k = 1 and q_1 = t0 - s*a < 0
-            assert tr.passes == ((-1, 1),), inp
-        else:
-            assert ds == euclid_remainders(c, p0)[2::2][:len(ds)], inp
-        assert (tr.penultimate[0], cert.u) == (p + d, p), inp
-        return True
+def passes_follow_euclid(inp, cert, tr):
+    """Each pass of the walk (cert, tr) of inp leaves d = p_{n-1} - p_n at the next
+    even-indexed remainder of Euclid."""
+    p0, c = tr.p0, inp.c
+    s = p0 // c or 1
+    # a scaled start is exactly a target that is itself a positive combination of the pair
+    assert (p0 > c) == (cert.m == 1), inp
+    # replay the stored quotients on (d, p) from row -1 scaled by s, taking d after each x;
+    # the last row's p is the certificate's u
+    d, p, ds = s * c - p0, p0, []
+    for x, j in tr.passes:
+        d -= x * p
+        ds.append(d)
+        p -= j * d
+    if p0 > c:
+        # one pass: row 1 has k = 1 and q_1 = t0 - s*a < 0
+        assert tr.passes == ((-1, 1),), inp
+    else:
+        assert ds == euclid_remainders(c, p0)[2::2][:len(ds)], inp
+    assert (tr.penultimate[0], cert.u) == (p + d, p), inp
 
+
+class TestEuclidCore:
     def test_exhaustive_small(self):
-        walks = 0
-        for c in range(3, 70):
+        # one walk per input: where c, b < 90 its result, every row and the budget match the
+        # walk taken one step at a time; where c < 70 (b < 200) its passes follow Euclid
+        rows = euclid = 0
+        for c in range(3, 90):
             for a in range(2, c):
                 if math.gcd(a, c) != 1:
                     continue
-                for b in range(2, 200):
-                    if pairwise_coprime((b, a, c)):
-                        walks += self.passes_follow_euclid(WalkInput(b=b, a=a, c=c))
-        assert walks == 128756
+                for b in range(2, 200 if c < 70 else 90):
+                    if not pairwise_coprime((b, a, c)):
+                        continue
+                    inp = WalkInput(b=b, a=a, c=c)
+                    walked = outcome(find_least_multiple, inp)
+                    within = walked is not StepBudgetExceeded
+                    if b < 90:
+                        got = collapsed(*walked) if within else walked
+                        assert got == outcome(reference_walk, inp), inp
+                        rows += 1
+                    if c < 70 and within:
+                        passes_follow_euclid(inp, *walked)
+                        euclid += 1
+        assert (rows, euclid) == (97428, 128756)
 
     @pytest.mark.parametrize("digits, count", [(10, 300), (100, 60), (1000, 10)])
     def test_random(self, digits, count):
@@ -305,20 +301,16 @@ class TestEuclidCore:
         span = (10 ** (digits - 1), 10 ** digits)
         walks = 0
         for values in coprime_draws(random.Random(digits), span, span, span):
-            walks += self.passes_follow_euclid(WalkInput(*values))
-            if walks == count:
-                break
+            inp = WalkInput(*values)
+            walked = outcome(find_least_multiple, inp)
+            if walked is not StepBudgetExceeded:
+                passes_follow_euclid(inp, *walked)
+                walks += 1
+                if walks == count:
+                    break
 
 
 class TestTraceInvariants:
-    def test_strict_decrease_and_coprime_consecutive(self):
-        for a1, a2, a3 in coprime_triples(25):
-            _, tr = find_least_multiple(WalkInput(b=a2, a=a1, c=a3))
-            ps = [s.p for s in tr.steps]
-            for prev, cur in zip(ps, ps[1:]):
-                assert cur < prev
-                assert math.gcd(prev, cur) == 1
-
     def test_congruence_quotient_integral(self):
         # of the 619 walks of b = a3 over (a1, a2), 198 have p0 > c and 16 have p0 // c >= 2
         scaled_starts = 0
@@ -352,15 +344,11 @@ class TestTraceInvariants:
         calls = []
         monkeypatch.setattr(walk, "_walk", lambda *args: calls.append(args))
         for tr in traces:
-            assert [tuple(s) for s in tr.steps] == reference_walk(tr.input)[1]
+            assert tr.steps == reference_walk(tr.input)[1]
         assert calls == []
 
 
 class TestCertificate:
-    def test_plain_record(self):
-        # 2*5 != 1*3 + 1*8: the record checks nothing; the code that makes a claim checks it
-        assert MultipleCertificate(2, 1, 1, 5, 3, 8) == (2, 1, 1, 5, 3, 8)
-
     def test_walk_checks_its_certificate(self, monkeypatch):
         # the walk's last row (p, v, q) is the certificate (u, m, -w) of 8231 over (7523, 9533)
         for p, v, q in ((13, 64, -44),  # identity broken

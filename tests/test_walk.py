@@ -95,9 +95,45 @@ class TestFindLeastMultiple:
                 assert cert.m == oracle_least_multiple(target, (x, y)).m
 
 
+@pytest.fixture(scope="module")
+def small_sweep():
+    """Walk each input with c < 90, and b < 200 if c < 70 else b < 90, once, and return
+    {check: (inputs checked, AssertionErrors)}: "reference" compares each walk with c, b < 90
+    with reference_walk, and "euclid" runs passes_follow_euclid where c < 70."""
+    checked = {"reference": [], "euclid": []}
+
+    def check(name, assertion, *args):
+        try:
+            checked[name].append(assertion(*args))
+        except AssertionError as exc:
+            checked[name].append(exc)
+
+    def matches_reference(inp, walked):
+        got = collapsed(*walked) if walked is not StepBudgetExceeded else walked
+        assert got == outcome(reference_walk, inp), inp
+
+    for c in range(3, 90):
+        for a in range(2, c):
+            if math.gcd(a, c) != 1:
+                continue
+            for b in range(2, 200 if c < 70 else 90):
+                if not pairwise_coprime((b, a, c)):
+                    continue
+                inp = WalkInput(b=b, a=a, c=c)
+                walked = outcome(find_least_multiple, inp)
+                if b < 90:
+                    check("reference", matches_reference, inp, walked)
+                if c < 70 and walked is not StepBudgetExceeded:
+                    check("euclid", passes_follow_euclid, inp, *walked)
+    return {name: (len(got), [e for e in got if e]) for name, got in checked.items()}
+
+
 class TestCollapsedRuns:
     # each pass reaches its k = 2 run by division; the result, every row and the budget
     # must match the walk taken one step at a time
+    def test_matches_reference_small(self, small_sweep):
+        assert small_sweep["reference"] == (97428, [])
+
     def test_matches_reference_at_budget_edge(self):
         # A+1 over (A, 2A+1) takes A steps against a budget of 1,300 for 1024 <= A < 2048
         over = []
@@ -272,28 +308,9 @@ def passes_follow_euclid(inp, cert, tr):
 
 
 class TestEuclidCore:
-    def test_exhaustive_small(self):
-        # one walk per input: where c, b < 90 its result, every row and the budget match the
-        # walk taken one step at a time; where c < 70 (b < 200) its passes follow Euclid
-        rows = euclid = 0
-        for c in range(3, 90):
-            for a in range(2, c):
-                if math.gcd(a, c) != 1:
-                    continue
-                for b in range(2, 200 if c < 70 else 90):
-                    if not pairwise_coprime((b, a, c)):
-                        continue
-                    inp = WalkInput(b=b, a=a, c=c)
-                    walked = outcome(find_least_multiple, inp)
-                    within = walked is not StepBudgetExceeded
-                    if b < 90:
-                        got = collapsed(*walked) if within else walked
-                        assert got == outcome(reference_walk, inp), inp
-                        rows += 1
-                    if c < 70 and within:
-                        passes_follow_euclid(inp, *walked)
-                        euclid += 1
-        assert (rows, euclid) == (97428, 128756)
+    def test_exhaustive_small(self, small_sweep):
+        # every walk within its budget where c < 70 (b < 200)
+        assert small_sweep["euclid"] == (128756, [])
 
     @pytest.mark.parametrize("digits, count", [(10, 300), (100, 60), (1000, 10)])
     def test_random(self, digits, count):

@@ -6,7 +6,8 @@ mismatch, 5 I/O error.
 
 verify checks its triples on every CPU in the process's affinity mask, one
 task per least generator (taskset -c 0 frob3 verify ... uses one). Its
-output and exit codes are those of a serial run.
+output and exit codes are those of a serial run, and a mismatch or an
+error stops the workers still running.
 """
 
 import argparse
@@ -186,6 +187,7 @@ def cmd_verify(args) -> int:
             # before the pool starts its own threads
             pool = ProcessPoolExecutor(min(cpus, len(slices)),
                                        mp_context=multiprocessing.get_context("fork"))
+    read_all = False
     try:
         triples = 0
         walks = 0
@@ -195,10 +197,22 @@ def cmd_verify(args) -> int:
             if mismatch is not None:
                 print(mismatch)
                 return EXIT_MISMATCH
+        read_all = True
     finally:
-        if pool is not None:
-            # an exit 3 or 4 does not wait for the slices not yet started
-            pool.shutdown(cancel_futures=True)
+        if pool is not None and read_all:
+            pool.shutdown()
+        elif pool is not None:
+            # an exit 3 or 4, or an exception here, ends the running slices, which shutdown
+            # would wait for (3.14's terminate_workers(), plus a join). Shutting down first
+            # lets the pool's thread drop the cancelled slices before it sees a worker die:
+            # otherwise, before 3.12, it can die on an InvalidStateError and leave the workers
+            # unjoined
+            workers = list(pool._processes.values())
+            manager = pool._executor_manager_thread
+            pool.shutdown(wait=False, cancel_futures=True)
+            for worker in workers:
+                worker.terminate()
+            manager.join()
     print(f"OK: {triples} triples and {walks} least-multiple cases match the oracle")
     return EXIT_OK
 

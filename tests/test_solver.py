@@ -100,15 +100,6 @@ class TestGeneratorCheck:
 
 
 class TestLeastMultiplesAll:
-    def test_small_values(self):
-        certs, trace = least_multiples_all(validate_triple(3, 5, 7))
-        assert [c.value for c in certs] == [12, 10, 14]
-        # the one walk, 5 over (3, 7): row 0 is (p, v, q) = (4, 1, 1), row 1 is (1, 2, -1)
-        assert trace.input == WalkInput(b=5, a=3, c=7)
-        assert (trace.n_steps, trace.penultimate) == (1, (4, 1, 1))
-        certs, _ = least_multiples_all(validate_triple(5, 7, 9))
-        assert [c.value for c in certs] == [25, 14, 27]
-
     def test_degenerate_rejected(self):
         with pytest.raises(InvalidInputError):
             least_multiples_all(validate_triple(3, 5, 8))

@@ -6,8 +6,8 @@ mismatch, 5 I/O error.
 
 verify checks its triples on every CPU in the process's affinity mask, one
 task per least generator (taskset -c 0 frob3 verify ... uses one). Its
-output and exit codes are those of a serial run, and a mismatch or an
-error stops the workers still running.
+output and exit codes are those of a serial run. Every pooled run ends by
+terminating its workers, so a mismatch or an error does not wait for them.
 """
 
 import argparse
@@ -183,11 +183,11 @@ def cmd_verify(args) -> int:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
-            # forked workers share the imported package, monkeypatches included, and all fork
-            # before the pool starts its own threads
+            # forked workers share the imported package, monkeypatches included. The pool forks
+            # them before it starts its threads, so a process's first run does not warn; on 3.12
+            # and later, some forks of a later run warn that fork() may deadlock
             pool = ProcessPoolExecutor(min(cpus, len(slices)),
                                        mp_context=multiprocessing.get_context("fork"))
-    read_all = False
     try:
         triples = 0
         walks = 0
@@ -197,16 +197,13 @@ def cmd_verify(args) -> int:
             if mismatch is not None:
                 print(mismatch)
                 return EXIT_MISMATCH
-        read_all = True
     finally:
-        if pool is not None and read_all:
-            pool.shutdown()
-        elif pool is not None:
-            # an exit 3 or 4, or an exception here, ends the running slices, which shutdown
-            # would wait for (3.14's terminate_workers(), plus a join). Shutting down first
-            # lets the pool's thread drop the cancelled slices before it sees a worker die:
-            # otherwise, before 3.12, it can die on an InvalidStateError and leave the workers
-            # unjoined
+        if pool is not None:
+            # a clean end leaves the workers idle; an exit 3 or 4, or an exception here, leaves
+            # slices running, which shutdown() would wait for. So every exit ends them one way
+            # (3.14's terminate_workers(), plus a join). Shutting down first lets the pool's
+            # thread drop the cancelled slices before it sees a worker die: otherwise, before
+            # 3.12, it can die on an InvalidStateError and leave the workers unjoined
             workers = list(pool._processes.values())
             manager = pool._executor_manager_thread
             pool.shutdown(wait=False, cancel_futures=True)

@@ -315,17 +315,9 @@ class TestEuclidCore:
 
     @pytest.mark.parametrize("digits, count", [(10, 300), (100, 60), (1000, 10)])
     def test_random(self, digits, count):
-        # count walks within the budget; an over-budget walk takes the next draw
-        span = (10 ** (digits - 1), 10 ** digits)
-        walks = 0
-        for values in coprime_draws(random.Random(digits), span, span, span):
-            inp = WalkInput(*values)
-            walked = outcome(find_least_multiple, inp)
-            if walked is not StepBudgetExceeded:
-                passes_follow_euclid(inp, *walked)
-                walks += 1
-                if walks == count:
-                    break
+        # no draw goes over its budget, so an exception here fails the test
+        for inp in random_inputs(digits, count, seed=digits):
+            passes_follow_euclid(inp, *find_least_multiple(inp))
 
 
 class TestTraceInvariants:

@@ -270,6 +270,12 @@ class TestBench:
         code, _, _ = run(capsys, "bench", "--digits", "1", "--samples", "2")
         assert code == 1
 
+    def test_full_values_removed_exit_1(self, capsys):
+        # the flag is gone: a row's triple is rebuilt from (digits, seed, sample_index)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--digits", "3", "--samples", "2", "--full-values"])
+        assert exc.value.code == 1
+
     def test_csv_into_missing_directory_exit_5(self, capsys, tmp_path):
         code, out, err = run(capsys, "bench", "--digits", "3", "--samples", "2",
                              "--csv", str(tmp_path / "missing" / "out.csv"))
@@ -365,8 +371,7 @@ class TestUsage:
     def test_missing_args(self, capsys):
         # main builds its parser once per process and reuses it on every call
         for argv in (["compute", "3", "5"], ["least-multiple", "5"], ["verify"],
-                     ["bench", "--digits", "2"], ["compute", "3", "5", "7", "--trace"],
-                     ["bench", "--digits", "3", "--samples", "2", "--full-values"]):
+                     ["bench", "--digits", "2"], ["compute", "3", "5", "7", "--trace"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 1, argv

@@ -17,8 +17,8 @@ import math
 import os
 import sys
 
+from . import oracle
 from .errors import InvalidInputError, InvariantViolation, StepBudgetExceeded
-from .oracle import MAX_MODULUS, oracle_frobenius, oracle_least_multiple
 from .solver import frobenius, result_to_json
 from .walk import WalkInput, certificate_to_json, find_least_multiple, trace_table, trace_to_json
 
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively compare fast path against the oracle")
     p.add_argument("--max", type=int, required=True, metavar="N",
                    help="check all valid triples with largest generator <= N "
-                        f"(10 <= N <= {MAX_MODULUS})")
+                        f"(10 <= N <= {oracle.MAX_MODULUS})")
 
     p = sub.add_parser("bench", help="step-count/timing benchmark on random triples")
     p.add_argument("--digits", type=int, required=True)
@@ -135,13 +135,14 @@ def _iter_valid_triples(limit: int, a1: int):
 
 
 def _verify_from(limit: int, a1: int):
-    """(triples, least-multiple cases, first mismatch line or None) of verify's slice at a1."""
+    """(triples, least-multiple cases, first mismatch line or None) of verify's slice at a1.
+    Its triples are valid and sorted, so the oracle's unchecked cores take them."""
     triples = 0
     walks = 0
     for _, a2, a3 in _iter_valid_triples(limit, a1):
         res = frobenius(a1, a2, a3)
         # f_pos, the largest gap with positive coefficients, is g shifted by the generator sum
-        want_g = oracle_frobenius((a1, a2, a3))
+        want_g = oracle._frobenius(a1, a2, a3)
         want_f = want_g + a1 + a2 + a3
         if res.g != want_g or res.f_pos != want_f:
             return triples, walks, (f"MISMATCH at ({a1},{a2},{a3}): got g={res.g} "
@@ -149,19 +150,20 @@ def _verify_from(limit: int, a1: int):
         triples += 1
         if res.degenerate:
             continue
-        for cert in res.certificates:
-            ref = oracle_least_multiple(cert.target, (cert.pair_a, cert.pair_c))
-            if cert.m != ref.m:
-                return triples, walks, (f"MISMATCH least multiple of {cert.target} over "
-                                        f"({cert.pair_a},{cert.pair_c}): got m={cert.m}, "
-                                        f"oracle m={ref.m}")
+        # each certificate's pair is in ascending order, as the core needs
+        for m, _, _, target, x, y in res.certificates:
+            want_m = oracle._least_multiple(target, x, y).m
+            if m != want_m:
+                return triples, walks, (f"MISMATCH least multiple of {target} over "
+                                        f"({x},{y}): got m={m}, oracle m={want_m}")
             walks += 1
     return triples, walks, None
 
 
-# Below this N a serial run is as fast: starting and stopping the pool costs about 8 ms on
-# 2 cores, where serial verify takes 0.4 ms at N = 10 and 21 ms at N = 30, and the two break
-# even between N = 30 and 32 (best and median of 40 runs)
+# Below this N a serial run is as fast. Warm, on 2 cores, the pool costs about 7 ms to start
+# and end plus about 0.14 ms per task (medians of 60 runs of no-op tasks), where serial verify
+# takes 0.25 ms at N = 10, 16 ms at N = 30 and 22 ms at N = 32 (27 and 29 tasks; medians of
+# 40 runs). A first run in a fresh process costs more (ROADMAP item 18)
 _POOL_MIN_MAX = 32
 
 
@@ -170,8 +172,9 @@ def cmd_verify(args) -> int:
         print("error: --max must be >= 10", file=sys.stderr)
         return EXIT_USAGE
     # every oracle modulus is at most N: the table's a1 <= N - 2, the scan's y <= N
-    if args.max > MAX_MODULUS:
-        print(f"error: --max must be <= {MAX_MODULUS}, the oracle's guard", file=sys.stderr)
+    if args.max > oracle.MAX_MODULUS:
+        print(f"error: --max must be <= {oracle.MAX_MODULUS}, the oracle's guard",
+              file=sys.stderr)
         return EXIT_USAGE
     # one slice per least generator; the slices are independent, so they run on every CPU the
     # process may use, and are read back in order: the output is that of a serial run

@@ -10,6 +10,10 @@ combination plus the generator sum, so f_pos = oracle_frobenius(gens) + sum(gens
 The domain is the package's: at least two generators, pairwise coprime (errors.check_generators).
 One guard bounds every loop here: once the inputs are checked, a table or scan modulus above
 MAX_MODULUS raises OracleBoundExceeded.
+
+Each public function checks its inputs once and then calls an unchecked core that keeps the
+guard: _frobenius(a1, a2, a3) for sorted generators, _least_multiple(target, x, y) for x < y.
+frob3 verify calls the cores on triples it has already checked, so no check runs twice.
 """
 
 from .errors import InvalidInputError, InvariantViolation, OracleBoundExceeded, check_generators
@@ -66,14 +70,20 @@ def _table(gens: list) -> list:
 
 
 def oracle_frobenius(generators) -> int:
-    """Largest integer that is no nonnegative combination of the generators: the largest
-    table entry minus the modulus a1, since every table entry t is the least representable
-    number of its class and t - a1 the largest one that is not; residue_table checks the
-    generators and the guard."""
+    """Largest integer that is no nonnegative combination of the three generators, which
+    must be pairwise coprime: _frobenius of them in ascending order."""
     gens = sorted(generators)
     if len(gens) != 3:
         raise InvalidInputError("oracle_frobenius expects exactly three generators")
-    return max(residue_table(gens)) - gens[0]
+    check_generators(*gens)
+    return _frobenius(*gens)
+
+
+def _frobenius(a1: int, a2: int, a3: int) -> int:
+    """oracle_frobenius of checked generators a1 < a2 < a3: the largest table entry minus
+    the modulus a1, since every table entry t is the least representable number of its class
+    and t - a1 the largest one that is not.  _table keeps the guard on a1."""
+    return max(_table([a1, a2, a3])) - a1
 
 
 def oracle_least_multiple(target: int, pair) -> MultipleCertificate:
@@ -93,6 +103,12 @@ def oracle_least_multiple(target: int, pair) -> MultipleCertificate:
         raise InvalidInputError("oracle_least_multiple expects a pair of two generators")
     x, y = sorted(pair)
     check_generators(target, x, y)
+    return _least_multiple(target, x, y)
+
+
+def _least_multiple(target: int, x: int, y: int) -> MultipleCertificate:
+    """oracle_least_multiple of checked, pairwise-coprime target and pair x < y, with the
+    guard on the scan modulus y."""
     if y > MAX_MODULUS:
         raise OracleBoundExceeded(f"scan modulus {y} exceeds oracle guard {MAX_MODULUS}")
     x_inv = pow(x, -1, y)
@@ -100,8 +116,7 @@ def oracle_least_multiple(target: int, pair) -> MultipleCertificate:
         n = m * target
         u = (n * x_inv - 1) % y + 1
         if n - u * x >= y:
-            return MultipleCertificate(m=m, u=u, w=(n - u * x) // y,
-                                       target=target, pair_a=x, pair_c=y)
+            return MultipleCertificate(m, u, (n - u * x) // y, target, x, y)
     raise InvariantViolation(f"no multiple of {target} below {y} is representable by ({x}, {y})")
 
 

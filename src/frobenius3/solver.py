@@ -30,10 +30,6 @@ class ValidatedTriple(namedtuple("ValidatedTriple", "a1 a2 a3 degenerate inv_a3"
     def generators(self) -> tuple[int, int, int]:
         return (self.a1, self.a2, self.a3)
 
-    @property
-    def total(self) -> int:
-        return self.a1 + self.a2 + self.a3
-
 
 class Decomposition(namedtuple("Decomposition", "generator multiplier partner partner_coeff")):
     """f_pos = multiplier*generator + partner_coeff*partner, both coefficients >= 1.
@@ -83,12 +79,13 @@ def least_multiples_all(t: ValidatedTriple) -> tuple[
     (Rodseth 1978 reads g off the same two rows.)  assemble_result proves them least."""
     if t.degenerate:
         raise InvalidInputError("least multiples are only defined for non-degenerate triples")
-    a1, a2, a3 = t.generators
-    c2, trace = find_least_multiple(WalkInput._make((a2, a1, a3)), t.inv_a3)  # t is validated
+    a1, a2, a3, _, inv_a3 = t
+    c2, trace = find_least_multiple(WalkInput._make((a2, a1, a3)), inv_a3)  # t is validated
     p, v, q = trace.penultimate
-    c1 = MultipleCertificate(m=p, u=v, w=q, target=a1, pair_a=a2, pair_c=a3)
-    c3 = MultipleCertificate(m=q + c2.w, u=p - c2.u, w=c2.m - v, target=a3, pair_a=a1, pair_c=a2)
-    return (c1, c2, c3), trace
+    m2, u2, w2, _, _, _ = c2
+    certs = (MultipleCertificate(p, v, q, a1, a2, a3), c2,
+             MultipleCertificate(q + w2, p - u2, m2 - v, a3, a1, a2))
+    return certs, trace
 
 
 def assemble_result(t: ValidatedTriple,
@@ -126,25 +123,23 @@ def assemble_result(t: ValidatedTriple,
     so w1 < a1, w2 < a2, and x_A = L1 + w2*a3 and x_B = L2 + w1*a3 are below
     a3*(a1 + a2) <= a1*a2*a3: each is its system's least solution.  f_pos is the larger, and
     the winning system's three forms are its decompositions."""
-    coeffs = [(c.m, c.u, c.w) for c in certs]
-    (m1, u1, w1), (m2, u2, w2), (m3, u3, w3) = coeffs
-    a1, a2, a3 = t.generators
-    roles = [(c.target, c.pair_a, c.pair_c) for c in certs]
-    if (roles != [(a1, a2, a3), (a2, a1, a3), (a3, a1, a2)]
+    # each certificate unpacks as (m, u, w, target, x, y)
+    (m1, u1, w1, b1, x1, y1), (m2, u2, w2, b2, x2, y2), (m3, u3, w3, b3, x3, y3) = certs
+    a1, a2, a3, _, _ = t
+    if ((b1, x1, y1, b2, x2, y2, b3, x3, y3) != (a1, a2, a3, a2, a1, a3, a3, a1, a2)
             or min(m1, u1, w1, m2, u2, w2, m3, u3, w3) < 1
             or (m1, m2, m3) != (u2 + u3, u1 + w3, w1 + w2)
             or (u1 * w2 + w1 * m2, w1 * u2 + m1 * w2, m1 * m2 - u1 * u2) != (a1, a2, a3)):
         raise InvariantViolation(f"certificates are not the least multiples of {t.generators}")
     cand_a, cand_b = m1 * a1 + w2 * a3, m2 * a2 + w1 * a3
     f_pos = max(cand_a, cand_b)
-    g = f_pos - t.total
+    g = f_pos - a1 - a2 - a3
     if g < 1:
         raise InvariantViolation(f"f_pos <= a1+a2+a3 for {t.generators}")
-    decomps = _decompositions(cand_a >= cand_b, t.generators, coeffs)
-    return FrobeniusResult(
-        a1=a1, a2=a2, a3=a3, g=g, f_pos=f_pos, candidate_a=cand_a, candidate_b=cand_b,
-        certificates=certs, decompositions=tuple(Decomposition(*d) for d in decomps),
-    )
+    decomps = _decompositions(cand_a >= cand_b, (a1, a2, a3),
+                              ((m1, u1, w1), (m2, u2, w2), (m3, u3, w3)))
+    return FrobeniusResult(a1, a2, a3, g, f_pos, cand_a, cand_b, certs,
+                           tuple(map(Decomposition._make, decomps)))
 
 
 def _decompositions(system_a, generators, coeffs):
@@ -163,9 +158,9 @@ def frobenius(x1: int, x2: int, x3: int) -> FrobeniusResult:
     t = validate_triple(x1, x2, x3)
     if t.degenerate:
         # a3 is a positive combination of (a1, a2): the semigroup is unchanged (Sylvester)
-        g = t.a1 * t.a2 - t.a1 - t.a2
-        return FrobeniusResult(a1=t.a1, a2=t.a2, a3=t.a3,
-                               g=g, f_pos=g + t.total, degenerate_member=2)
+        a1, a2, a3, _, _ = t
+        g = a1 * a2 - a1 - a2
+        return FrobeniusResult(a1, a2, a3, g, g + a1 + a2 + a3, None, None, None, None, 2)
     certs, _ = least_multiples_all(t)
     return assemble_result(t, certs)
 

@@ -218,20 +218,20 @@ def find_least_multiple(inp: WalkInput, inv_c=None) -> tuple[MultipleCertificate
     walk's recurrence from δ_{-1} = 0 and δ_0 = -rem, as v does from (0, 1), so
     δ_n = v_n·δ_0 with v_n >= 1, and any nonzero remainder rem fails the check.
     """
-    b, a, c = inp.b, inp.a, inp.c
+    b, a, c = inp
     # t0 = (-b * c^-1) mod a and p0 = (b + c*t0)/a, so p0*a = b (mod c)
     t0 = -b * (pow(c, -1, a) if inv_c is None else inv_c) % a
     p0 = (b + c * t0) // a
     # row 0 is (p0, 1, t0) with t0 >= 1 (a does not divide b): the walk takes a step
     passes, (penultimate, (p, v, q)) = _walk(inp, t0, p0)
-    trace = WalkTrace(input=inp, t0=t0, p0=p0, passes=tuple(passes), penultimate=penultimate)
+    trace = WalkTrace(inp, t0, p0, tuple(passes), penultimate)
     max_steps = default_step_budget(c)
     if trace.n_steps > max_steps:
         raise StepBudgetExceeded(f"walk exceeded {max_steps} steps for (b={b}, a={a}, c={c})")
     if min(v, p, -q) < 1 or v * b != p * a - q * c:
         raise InvariantViolation(f"walk certificate fails for {inp}: need m, u, w >= 1 and "
                                  f"{v}*{b} = {p}*{a} + {-q}*{c}")
-    return MultipleCertificate(m=v, u=p, w=-q, target=b, pair_a=a, pair_c=c), trace
+    return MultipleCertificate(v, p, -q, b, a, c), trace
 
 
 def trace_rows(trace: WalkTrace) -> list[tuple[int, int | None, int, int, int]]:

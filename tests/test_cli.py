@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from frobenius3 import cli, solver, walk
+from frobenius3 import cli, oracle, solver, walk
 from frobenius3.bench import BenchConfig, random_coprime_triple, run_bench
 from frobenius3.cli import build_parser, main, parse_bigint
 from frobenius3.errors import InvalidInputError, InvariantViolation
@@ -176,7 +176,7 @@ class TestVerify:
 
     def test_frobenius_mismatch_exit_4(self, capsys, monkeypatch):
         # the first triple, (2, 3, 5), has g = 1
-        monkeypatch.setattr(cli, "oracle_frobenius", lambda gens: 0)
+        monkeypatch.setattr(oracle, "_frobenius", lambda a1, a2, a3: 0)
         code, out, err = run(capsys, "verify", "--max", "10")
         assert code == 4
         assert out == "MISMATCH at (2,3,5): got g=1 f_pos=11, oracle g=0 f_pos=10\n"
@@ -184,8 +184,8 @@ class TestVerify:
 
     def test_least_multiple_mismatch_exit_4(self, capsys, monkeypatch):
         # the first non-degenerate triple is (3, 4, 5), and 3*3 = 4 + 5
-        monkeypatch.setattr(cli, "oracle_least_multiple",
-                            lambda target, pair: MultipleCertificate(1, 1, 1, target, *pair))
+        monkeypatch.setattr(oracle, "_least_multiple",
+                            lambda target, x, y: MultipleCertificate(1, 1, 1, target, x, y))
         code, out, err = run(capsys, "verify", "--max", "10")
         assert code == 4
         assert out == "MISMATCH least multiple of 3 over (4,5): got m=3, oracle m=1\n"
@@ -201,19 +201,19 @@ class TestVerifyWorkers:
         # its last, which waits; the serially first one is printed.  The worker that ran a1 = 3
         # then sticks at (4, 5, 7), the first triple of a1 = 4, and the exit must not wait for it
         parent = os.getpid()
-        oracle = cli.oracle_frobenius
+        core = oracle._frobenius
 
-        def wrong_in_workers(gens):
+        def wrong_in_workers(*gens):
             if os.getpid() == parent or gens not in ((2, 37, 39), (3, 4, 5), (4, 5, 7)):
-                return oracle(gens)
+                return core(*gens)
             if gens == (4, 5, 7):
                 time.sleep(20)
-                return oracle(gens)
+                return core(*gens)
             if gens == (2, 37, 39):
                 time.sleep(0.2)
-            return oracle(gens) - 1
+            return core(*gens) - 1
 
-        monkeypatch.setattr(cli, "oracle_frobenius", wrong_in_workers)
+        monkeypatch.setattr(oracle, "_frobenius", wrong_in_workers)
         start = time.monotonic()
         assert run(capsys, "verify", "--max", "40") == (
             4, "MISMATCH at (2,37,39): got g=35 f_pos=113, oracle g=34 f_pos=112\n", "")

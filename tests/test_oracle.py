@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from frobenius3 import oracle
 from frobenius3.errors import InvalidInputError, NotPairwiseCoprimeError, OracleBoundExceeded
 from frobenius3.oracle import (
     MAX_MODULUS,
@@ -90,6 +91,18 @@ class TestOracleLeastMultiple:
             cert = oracle_least_multiple(b, (x, y))
             walk_cert = find_least_multiple(WalkInput(b=b, a=x, c=y))[0]
             assert (cert.m, cert.u, cert.w) == (walk_cert.m, walk_cert.u, walk_cert.w), (b, x, y)
+
+
+class TestCores:
+    # frob3 verify calls the unchecked cores directly: each keeps the guard on its loop
+    def test_guard(self):
+        with pytest.raises(OracleBoundExceeded):
+            oracle._least_multiple(3, 7, MAX_MODULUS + 1)
+        with pytest.raises(OracleBoundExceeded):
+            oracle._frobenius(MAX_MODULUS + 1, MAX_MODULUS + 2, MAX_MODULUS + 3)
+        assert oracle._least_multiple(3, 7, MAX_MODULUS) == (333338, 2, 1, 3, 7, MAX_MODULUS)
+        triple = (MAX_MODULUS, MAX_MODULUS + 1, MAX_MODULUS + 3)
+        assert oracle._frobenius(*triple) == frobenius(*triple).g
 
 
 class TestOracleRepresentable:
